@@ -31,7 +31,6 @@ from .reference import (
     condition_number,
     direct_solve,
     relative_error,
-    spectral_norm,
 )
 from .samplers import BACKENDS, Sample, SampleSet, SamplerParams, energy, solve_exhaustive, solve_sa
 from .trace import IterationRecord, IterationTrace

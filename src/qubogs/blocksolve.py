@@ -21,7 +21,7 @@ import numpy as np
 
 from .encoding import BinaryEncoding, QuboProblem, decode, encode
 from .linear import LinearSystem
-from .reference import relative_error, solve_dense, spectral_norm
+from .reference import relative_error, solve_dense
 from .samplers import BACKENDS, SampleSet, SamplerParams
 from .trace import IterationRecord, IterationTrace
 
@@ -242,7 +242,6 @@ class ConvergenceReport:
     norm_first_block: float
     norm_second_block: float
     sufficient: bool
-    power_iteration_converged: bool
 
 
 def check_convergence_condition(system: LinearSystem, part: BlockPartition) -> ConvergenceReport:
@@ -259,11 +258,6 @@ def check_convergence_condition(system: LinearSystem, part: BlockPartition) -> C
     inv22_21 = solve_dense(a22, a21)
     first = inv11_12 @ inv22_21
     second = inv22_21 @ inv11_12
-    norm1, ok1 = spectral_norm(first)
-    norm2, ok2 = spectral_norm(second)
-    return ConvergenceReport(
-        norm_first_block=norm1,
-        norm_second_block=norm2,
-        sufficient=norm1 < 1.0 and norm2 < 1.0,
-        power_iteration_converged=ok1 and ok2,
-    )
+    norm1 = float(np.linalg.norm(first, 2))
+    norm2 = float(np.linalg.norm(second, 2))
+    return ConvergenceReport(norm_first_block=norm1, norm_second_block=norm2, sufficient=norm1 < 1.0 and norm2 < 1.0)

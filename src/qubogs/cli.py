@@ -5,8 +5,8 @@ every key has a default matching the built-in demo (the ramp-heated plate with
 81 unknowns solved by simulated annealing in 9 blocks). Outputs are plain CSV
 and PGM files, byte-reproducible for a fixed config.
 
-Exit codes: 0 success, 1 configuration error, 2 non-convergence (files are
-still written).
+Exit codes: 0 success, 1 configuration error or a sweep combination that
+raised, 2 non-convergence (files are still written).
 """
 
 import argparse
@@ -18,10 +18,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blocksolve import SolveConfig, iterate
+from .encoding import estimate_resources
 from .heatgrid import HeatProblem, assemble_system, grid_to_field, named_boundary
 from .linear import LinearSystem
 from .reference import condition_number, direct_solve
-from .samplers import BACKENDS, SamplerParams
+from .samplers import BACKENDS, EXHAUSTIVE_LIMIT, SamplerParams
 from .trace import IterationTrace
 
 OUT_DIR_ENV = "QUBOGS_OUT_DIR"
@@ -234,6 +235,13 @@ def _ground_truth(system: LinearSystem) -> np.ndarray | None:
 
 
 def run_solve(cfg: ExperimentConfig) -> int:
+    if cfg.solver.backend == "exhaustive":
+        qubits = estimate_resources(cfg.problem.n, cfg.solver.bits, cfg.solver.blocks).per_block_qubits
+        if qubits > EXHAUSTIVE_LIMIT:
+            raise ConfigError(
+                "solver.bits",
+                f"the largest block needs {qubits} binary variables, the exhaustive limit is {EXHAUSTIVE_LIMIT}",
+            )
     os.makedirs(cfg.out_dir, exist_ok=True)
     system = assemble_system(cfg.problem)
     trace = iterate(system, cfg.solver, exact_solution=_ground_truth(system))
@@ -262,7 +270,6 @@ def run_solve(cfg: ExperimentConfig) -> int:
         f"final_residual={_fmt(float(final.residual))}",
         f"final_relative_error={_fmt(final.relative_error)}",
         f"kappa={_fmt(kappa.kappa)}",
-        f"kappa_converged={str(kappa.converged).lower()}",
         f"clipped_total={clipped_total}",
     ]
     with open(os.path.join(cfg.out_dir, "summary.txt"), "w", newline="\n") as fh:
@@ -281,6 +288,7 @@ def run_sweep(cfg: ExperimentConfig) -> int:
 
     combined: list[list] = []
     status: list[str] = []
+    failed = False
     for backend in cfg.sweep_backends:
         for bits in cfg.sweep_bits:
             for gamma in cfg.sweep_gammas:
@@ -297,6 +305,7 @@ def run_sweep(cfg: ExperimentConfig) -> int:
                         trace = iterate(system, solver, exact_solution=exact)
                     except Exception as exc:  # keep the remaining combinations running
                         status.append(f"{name}: error: {exc}")
+                        failed = True
                         continue
                     _write_csv(
                         os.path.join(cfg.out_dir, name),
@@ -315,7 +324,7 @@ def run_sweep(cfg: ExperimentConfig) -> int:
     )
     with open(os.path.join(cfg.out_dir, "sweep_summary.txt"), "w", newline="\n") as fh:
         fh.write("\n".join(status) + "\n")
-    return 0
+    return 1 if failed else 0
 
 
 def _read_field_csv(path: str) -> np.ndarray:

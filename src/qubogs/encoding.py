@@ -139,42 +139,41 @@ def estimate_resources(n: int, bits: int, blocks: int) -> ResourceReport:
 
 @dataclass
 class QuboProblem:
-    """Quadratic form over binary variables: linear terms plus upper-triangular pairs.
+    """Quadratic form over binary variables: linear terms plus a symmetric pair matrix.
 
-    ``quadratic`` maps (l, k) with l < k to the merged coefficient of q_l q_k;
-    same-variable squares are folded into ``linear`` (q^2 = q). ``offset`` is
-    the constant dropped from the least-squares objective, so that
-    energy(q) + offset = ||A decode(q) - b||^2.
+    ``quadratic`` is the symmetric size x size matrix W whose entry W[l, k] =
+    W[k, l] is the coefficient of q_l q_k, so the energy is a.q + q^T W q / 2;
+    its diagonal is zero because same-variable squares fold into ``linear``
+    (q^2 = q). ``offset`` is the constant dropped from the least-squares
+    objective, so that energy(q) + offset = ||A decode(q) - b||^2.
     """
 
     size: int
     linear: np.ndarray
-    quadratic: dict[tuple[int, int], float] = field(repr=False)
+    quadratic: np.ndarray = field(repr=False)
     offset: float = 0.0
 
     def __post_init__(self):
         self.linear = np.asarray(self.linear, dtype=float)
+        self.quadratic = np.asarray(self.quadratic, dtype=float)
         if self.linear.shape != (self.size,):
             raise ValueError(f"linear coefficients must have length {self.size}")
-        if not np.all(np.isfinite(self.linear)) or not math.isfinite(self.offset):
+        if self.quadratic.shape != (self.size, self.size):
+            raise ValueError(f"pair matrix must have shape ({self.size}, {self.size})")
+        if not (np.all(np.isfinite(self.linear)) and np.all(np.isfinite(self.quadratic)) and math.isfinite(self.offset)):
             raise ValueError("coefficients must be finite")
-        for (l, k), v in self.quadratic.items():
-            if not 0 <= l < k < self.size:
-                raise ValueError(f"quadratic key ({l}, {k}) is not an upper-triangular pair")
-            if not math.isfinite(v):
-                raise ValueError("coefficients must be finite")
+        if not np.array_equal(self.quadratic, self.quadratic.T):
+            raise ValueError("pair matrix must be symmetric")
+        if np.any(np.diag(self.quadratic) != 0.0):
+            raise ValueError("pair matrix must have a zero diagonal")
 
     def coefficient_magnitudes(self) -> np.ndarray:
-        vals = np.concatenate([self.linear, np.fromiter(self.quadratic.values(), dtype=float, count=len(self.quadratic))])
-        return np.abs(vals)
+        pairs = self.quadratic[np.triu_indices(self.size, 1)]
+        return np.abs(np.concatenate([self.linear, pairs]))
 
     def pair_matrix(self) -> np.ndarray:
         """Symmetric matrix W with W[l, k] = W[k, l] = coefficient of q_l q_k, zero diagonal."""
-        w = np.zeros((self.size, self.size))
-        for (l, k), v in self.quadratic.items():
-            w[l, k] = v
-            w[k, l] = v
-        return w
+        return self.quadratic
 
 
 def encode(system: LinearSystem, enc: BinaryEncoding) -> QuboProblem:
@@ -185,40 +184,21 @@ def encode(system: LinearSystem, enc: BinaryEncoding) -> QuboProblem:
         a_(i,r)      = -2 * c_i * (G d + A^T b)_i * 2^(-r)
         b_(i,r)(j,s) =      c_i * c_j * G_ij     * 2^(-(r+s))
 
-    Diagonal pairs (l, l) fold into the linear part; the two mirror orders of
-    each off-diagonal pair merge into one upper-triangular entry.
+    Diagonal pairs (l, l) fold into the linear part; each off-diagonal pair
+    takes twice its upper-triangular raw coefficient in both mirror positions.
     """
     if enc.n != system.n:
         raise ValueError(f"encoding covers {enc.n} variables but the system has {system.n}")
     a = system.to_dense()
     g = a.T @ a
-    atb = a.T @ system.b
-    size = enc.size
-    bits = enc.bits
-    weights = 2.0 ** -np.arange(bits)
+    c = enc.scale
+    weights = 2.0 ** -np.arange(enc.bits)
 
-    linear = np.zeros(size)
-    drive = g @ enc.offset + atb
-    for i in range(enc.n):
-        base = -2.0 * enc.scale[i] * drive[i]
-        linear[i * bits : (i + 1) * bits] = base * weights
-
-    quadratic: dict[tuple[int, int], float] = {}
-    for i in range(enc.n):
-        for j in range(i, enc.n):
-            gij = g[i, j] * enc.scale[i] * enc.scale[j]
-            if gij == 0.0:
-                continue
-            for r in range(bits):
-                s_start = r if i == j else 0
-                for s in range(s_start, bits):
-                    coeff = gij * weights[r] * weights[s]
-                    l = i * bits + r
-                    k = j * bits + s
-                    if l == k:
-                        linear[l] += coeff
-                    else:
-                        quadratic[(l, k)] = quadratic.get((l, k), 0.0) + 2.0 * coeff
+    raw = np.kron(g * c[:, None] * c[None, :], np.outer(weights, weights))
+    # the upper triangle alone decides every pair, so rounding asymmetries of
+    # A^T A and of the scale products never make W asymmetric
+    upper = 2.0 * np.triu(raw, 1)
+    linear = np.kron(-2.0 * c * (g @ enc.offset + a.T @ system.b), weights) + np.diag(raw)
 
     residual_at_origin = a @ enc.offset + system.b
-    return QuboProblem(size, linear, quadratic, float(residual_at_origin @ residual_at_origin))
+    return QuboProblem(enc.size, linear, upper + upper.T, float(residual_at_origin @ residual_at_origin))

@@ -7,52 +7,31 @@ import numpy as np
 from .linear import LinearSystem
 from .trace import IterationRecord, IterationTrace
 
-_PIVOT_RTOL = 1e-14
-
 
 class SingularMatrixError(ValueError):
     pass
 
 
-class LUFactors:
-    """LU decomposition with partial pivoting of a dense square matrix."""
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of a square matrix, largest first; raises if it is rank deficient.
 
-    def __init__(self, a):
-        a = np.array(a, dtype=float)
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise ValueError("matrix must be square")
-        perm = np.arange(n)
-        # singularity threshold is relative to each original row's magnitude
-        scale = np.max(np.abs(a), axis=1)
-        for k in range(n):
-            p = k + int(np.argmax(np.abs(a[k:, k])))
-            if abs(a[p, k]) <= _PIVOT_RTOL * scale[perm[p]]:
-                raise SingularMatrixError(f"pivot {k} vanishes (matrix singular to working precision)")
-            if p != k:
-                a[[k, p]] = a[[p, k]]
-                perm[[k, p]] = perm[[p, k]]
-            a[k + 1 :, k] /= a[k, k]
-            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-        self.lu = a
-        self.perm = perm
-        self.n = n
-
-    def solve(self, b) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        squeeze = b.ndim == 1
-        y = b.reshape(self.n, -1)[self.perm].copy()
-        for k in range(1, self.n):
-            y[k] -= self.lu[k, :k] @ y[:k]
-        for k in range(self.n - 1, -1, -1):
-            y[k] -= self.lu[k, k + 1 :] @ y[k + 1 :]
-            y[k] /= self.lu[k, k]
-        return y[:, 0] if squeeze else y
+    The rank test is numpy's ``matrix_rank`` default: a singular value at or
+    below sigma_max * n * eps counts as zero.
+    """
+    sigma = np.linalg.svd(a, compute_uv=False)
+    if sigma[-1] <= sigma[0] * a.shape[0] * np.finfo(float).eps:
+        raise SingularMatrixError("matrix is singular to working precision")
+    return sigma
 
 
 def solve_dense(a, b) -> np.ndarray:
-    """Gaussian elimination with partial pivoting on a dense matrix."""
-    return LUFactors(a).solve(b)
+    """Dense direct solve (LAPACK); raises SingularMatrixError on rank deficiency."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("matrix must be square")
+    _singular_values(a)
+    return np.linalg.solve(a, b)
 
 
 def direct_solve(system: LinearSystem) -> np.ndarray:
@@ -107,71 +86,15 @@ def relative_error(x, x_exact) -> float:
     return float(np.linalg.norm(x - x_exact)) / denom
 
 
-def spectral_norm(m, rtol: float = 1e-13, max_iters: int = 20000) -> tuple[float, bool]:
-    """Largest singular value of a dense matrix via power iteration on M^T M.
-
-    Returns (estimate, converged). A zero matrix reports (0.0, True).
-    """
-    m = np.asarray(m, dtype=float)
-    if m.size == 0:
-        return 0.0, True
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(m.shape[1])
-    v /= np.linalg.norm(v)
-    sigma_sq = 0.0
-    for _ in range(max_iters):
-        w = m.T @ (m @ v)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0, True
-        new_sigma_sq = float(v @ w)
-        v = w / norm_w
-        if abs(new_sigma_sq - sigma_sq) <= rtol * abs(new_sigma_sq):
-            return float(np.sqrt(new_sigma_sq)), True
-        sigma_sq = new_sigma_sq
-    return float(np.sqrt(sigma_sq)), False
-
-
 @dataclass
 class ConditionEstimate:
     kappa: float
     sigma_max: float
     sigma_min: float
-    converged: bool
 
 
-def condition_number(system: LinearSystem, rtol: float = 1e-13, max_iters: int = 20000) -> ConditionEstimate:
-    """2-norm condition number estimate.
-
-    Power iteration on A^T A gives sigma_max; inverse iteration through the LU
-    factors of A and A^T gives sigma_min. ``converged`` is False when either
-    iteration hits the cap before its Rayleigh quotient settles.
-    """
-    a = system.to_dense()
-    sigma_max, ok_max = spectral_norm(a, rtol=rtol, max_iters=max_iters)
-    lu = LUFactors(a)
-    lu_t = LUFactors(a.T)
-    rng = np.random.default_rng(0x5EED + 1)
-    v = rng.standard_normal(system.n)
-    v /= np.linalg.norm(v)
-    inv_sq = 0.0
-    ok_min = False
-    for _ in range(max_iters):
-        y = lu.solve(lu_t.solve(v))
-        norm_y = float(np.linalg.norm(y))
-        if norm_y == 0.0:
-            raise SingularMatrixError("inverse iteration collapsed to zero")
-        new_inv_sq = float(v @ y)
-        v = y / norm_y
-        if abs(new_inv_sq - inv_sq) <= rtol * abs(new_inv_sq):
-            inv_sq = new_inv_sq
-            ok_min = True
-            break
-        inv_sq = new_inv_sq
-    sigma_min = 1.0 / float(np.sqrt(inv_sq))
-    return ConditionEstimate(
-        kappa=sigma_max / sigma_min,
-        sigma_max=sigma_max,
-        sigma_min=sigma_min,
-        converged=ok_max and ok_min,
-    )
+def condition_number(system: LinearSystem) -> ConditionEstimate:
+    """2-norm condition number sigma_max / sigma_min from the singular values of A."""
+    sigma = _singular_values(system.to_dense())
+    sigma_max, sigma_min = float(sigma[0]), float(sigma[-1])
+    return ConditionEstimate(kappa=sigma_max / sigma_min, sigma_max=sigma_max, sigma_min=sigma_min)

@@ -75,15 +75,11 @@ class SampleSet:
 
 
 def energy(problem: QuboProblem, bits) -> float:
-    """Evaluate sum_l a_l q_l + sum_{l<k} b_lk q_l q_k for one bitstring."""
+    """Evaluate a.q + q^T W q / 2 = sum_l a_l q_l + sum_{l<k} W_lk q_l q_k for one bitstring."""
     q = np.asarray(bits, dtype=float)
     if q.shape != (problem.size,):
         raise ValueError(f"bitstring must have length {problem.size}, got {q.shape}")
-    e = float(problem.linear @ q)
-    for (l, k), v in problem.quadratic.items():
-        if q[l] != 0.0 and q[k] != 0.0:
-            e += v
-    return e
+    return float(problem.linear @ q + 0.5 * (q @ problem.quadratic @ q))
 
 
 def default_beta_range(problem: QuboProblem) -> tuple[float, float]:
@@ -124,7 +120,7 @@ def solve_exhaustive(problem: QuboProblem) -> SampleSet:
             best_energy = float(energies[i])
             best_state = int(states[i])
     bits = tuple(int(b) for b in _bit_matrix(np.array([best_state]), size)[0])
-    # re-evaluate sparsely to avoid accumulation differences from the blocked scan
+    # re-evaluate the winner alone so its energy does not depend on the chunking
     return SampleSet([Sample(bits, energy(problem, bits), 1)], params=None)
 
 

@@ -35,6 +35,6 @@ def small_corpus() -> list[tuple[str, QuboProblem]]:
         problems.append((f"rand-{k}", encode(LinearSystem.from_dense(a, b), enc)))
         k += 1
 
-    problems.append(("linear-only", QuboProblem(4, np.array([0.5, -1.0, 2.0, -0.25]), {}, 0.0)))
-    problems.append(("all-zero", QuboProblem(3, np.zeros(3), {}, 0.0)))
+    problems.append(("linear-only", QuboProblem(4, np.array([0.5, -1.0, 2.0, -0.25]), np.zeros((4, 4)), 0.0)))
+    problems.append(("all-zero", QuboProblem(3, np.zeros(3), np.zeros((3, 3)), 0.0)))
     return problems

@@ -173,11 +173,21 @@ def test_sweep_continues_past_failing_combination(tmp_path):
         sweep={"bits": "3", "gammas": "1.0", "backends": "exhaustive,exact", "seeds": "1"},
         output={"directory": str(tmp_path / "sweep")},
     )
-    assert cli.main(["sweep", str(cfg_path)]) == 0
+    assert cli.main(["sweep", str(cfg_path)]) == 1
     _, rows = read_csv(tmp_path / "sweep" / "sweep.csv")
     assert {r[0] for r in rows} == {"exact"}
     status = (tmp_path / "sweep" / "sweep_summary.txt").read_text()
     assert "error" in status and "exhaustive" in status
+
+
+def test_solve_rejects_blocks_beyond_exhaustive_limit(tmp_path, capsys):
+    # 81 unknowns in 9 blocks of 3 bits make 27-bit blocks, past the scan limit
+    cfg_path = write_config(tmp_path / "cfg.ini", problem={"m": 10}, solver={"backend": "exhaustive", "blocks": 9, "bits": 3})
+    assert cli.main(["solve", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error in solver.bits" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_contrast_between_backends(tmp_path):

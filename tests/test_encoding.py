@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qubogs.blocksolve import _subsystem, partition, shrink_encoding
 from qubogs.encoding import (
     BinaryEncoding,
     QuboProblem,
@@ -12,7 +13,9 @@ from qubogs.encoding import (
     logical_index,
     required_bits,
 )
+from qubogs.heatgrid import HeatProblem, assemble_system
 from qubogs.linear import LinearSystem
+from qubogs.reference import direct_solve
 from qubogs.samplers import energy, solve_exhaustive
 
 
@@ -20,6 +23,54 @@ def all_bitstrings(size: int) -> np.ndarray:
     states = np.arange(1 << size)
     shifts = size - 1 - np.arange(size)
     return ((states[:, None] >> shifts) & 1).astype(float)
+
+
+def loop_encode(system: LinearSystem, enc: BinaryEncoding):
+    """Reference QUBO built pair by pair: (linear, pair matrix, offset).
+
+    The coefficient formulas of ``encode`` evaluated one (variable, bit) pair
+    at a time, with same-bit squares folded into the linear part and each
+    off-diagonal pair stored twice its upper-triangular coefficient.
+    """
+    a = system.to_dense()
+    g = a.T @ a
+    atb = a.T @ system.b
+    bits = enc.bits
+    weights = 2.0 ** -np.arange(bits)
+
+    linear = np.zeros(enc.size)
+    drive = g @ enc.offset + atb
+    for i in range(enc.n):
+        base = -2.0 * enc.scale[i] * drive[i]
+        linear[i * bits : (i + 1) * bits] = base * weights
+
+    pairs = np.zeros((enc.size, enc.size))
+    for i in range(enc.n):
+        for j in range(i, enc.n):
+            gij = g[i, j] * enc.scale[i] * enc.scale[j]
+            if gij == 0.0:
+                continue
+            for r in range(bits):
+                for s in range(r if i == j else 0, bits):
+                    coeff = gij * weights[r] * weights[s]
+                    l = i * bits + r
+                    k = j * bits + s
+                    if l == k:
+                        linear[l] += coeff
+                    else:
+                        pairs[l, k] += 2.0 * coeff
+                        pairs[k, l] = pairs[l, k]
+
+    residual_at_origin = a @ enc.offset + system.b
+    return linear, pairs, float(residual_at_origin @ residual_at_origin)
+
+
+def assert_matches_loop_encode(system: LinearSystem, enc: BinaryEncoding):
+    qubo = encode(system, enc)
+    linear, pairs, offset = loop_encode(system, enc)
+    assert np.array_equal(qubo.linear, linear)
+    assert np.array_equal(qubo.pair_matrix(), pairs)
+    assert qubo.offset == offset
 
 
 class TestIndexMapping:
@@ -130,7 +181,7 @@ class TestEncode:
         qubo = encode(system, BinaryEncoding.uniform(1, 1, 1.0, 0.0))
         # raw linear -2 plus the folded same-bit square +1
         assert_allclose(qubo.linear, [-1.0])
-        assert qubo.quadratic == {}
+        assert np.array_equal(qubo.pair_matrix(), np.zeros((1, 1)))
         assert qubo.offset == 1.0
         assert energy(qubo, [1]) == -1.0
 
@@ -164,11 +215,13 @@ class TestEncode:
                 reference = float(np.sum((a @ decode(q, enc) - b) ** 2))
                 assert energy(qubo, q) + qubo.offset == pytest.approx(reference, rel=1e-9, abs=1e-9)
 
-    def test_quadratic_stored_upper_triangular_once(self):
+    def test_pair_matrix_symmetric_with_zero_diagonal(self):
         system = LinearSystem.from_dense([[1.0, 0.5], [0.5, 2.0]], [1.0, -1.0])
-        qubo = encode(system, BinaryEncoding.uniform(2, 2, 1.0, 0.0))
-        for l, k in qubo.quadratic:
-            assert l < k
+        w = encode(system, BinaryEncoding.uniform(2, 2, 1.0, 0.0)).pair_matrix()
+        assert w.shape == (4, 4)
+        assert np.array_equal(w, w.T)
+        assert np.all(np.diag(w) == 0.0)
+        assert np.all(w[np.triu_indices(4, 1)] != 0.0)
 
     def test_dimension_mismatch(self):
         system = LinearSystem.from_dense([[1.0]], [1.0])
@@ -176,18 +229,48 @@ class TestEncode:
             encode(system, BinaryEncoding.uniform(2, 1, 1.0))
 
 
+class TestLoopEncodeOracle:
+    """The vectorized encode reproduces the pair-by-pair loop bit for bit."""
+
+    def test_random_encodings(self):
+        rng = np.random.default_rng(4401)
+        for _ in range(240):
+            n = int(rng.integers(1, 7))
+            bits = int(rng.integers(1, 5))
+            a = rng.uniform(-2, 2, (n, n))
+            a[rng.random((n, n)) < 0.3] = 0.0  # sparse couplings exercise the skipped pairs
+            enc = BinaryEncoding(n, bits, rng.uniform(0.05, 60, n), rng.uniform(-50, 50, n))
+            assert_matches_loop_encode(LinearSystem.from_dense(a, rng.uniform(-20, 20, n)), enc)
+
+    @pytest.mark.parametrize("m, blocks", [(10, 9), (20, 19)])
+    def test_shrunk_window_blocks_of_sourced_plate(self, m, blocks):
+        problem = HeatProblem(m, sources=[(2, 3, 25.0), (m - 3, m - 2, -15.0)])
+        system = assemble_system(problem)
+        exact = direct_solve(system)
+        rng = np.random.default_rng(m)
+        initial = BinaryEncoding.uniform(system.n, 3, 50.0, 0.0)
+        for k in (1, 4, 12, 30):
+            # a window centered near the solution, as after k-1 shrinking sweeps
+            x = exact + rng.normal(0.0, 0.8**k, system.n)
+            enc = shrink_encoding(initial, x, 0.8, k)
+            for lo, hi in partition(system.n, blocks).blocks:
+                assert_matches_loop_encode(_subsystem(system, lo, hi, x), enc.slice(lo, hi))
+
+
 class TestQuboProblemValidation:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            QuboProblem(1, np.array([np.inf]), {}, 0.0)
+            QuboProblem(1, np.array([np.inf]), np.zeros((1, 1)), 0.0)
         with pytest.raises(ValueError):
-            QuboProblem(2, np.zeros(2), {(0, 1): np.nan}, 0.0)
+            QuboProblem(2, np.zeros(2), np.array([[0.0, np.nan], [np.nan, 0.0]]), 0.0)
 
     def test_rejects_bad_pairs(self):
         with pytest.raises(ValueError):
-            QuboProblem(2, np.zeros(2), {(1, 0): 1.0}, 0.0)
+            QuboProblem(2, np.zeros(2), np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)  # asymmetric
         with pytest.raises(ValueError):
-            QuboProblem(2, np.zeros(2), {(0, 0): 1.0}, 0.0)
+            QuboProblem(2, np.zeros(2), np.array([[1.0, 0.0], [0.0, 0.0]]), 0.0)  # nonzero diagonal
+        with pytest.raises(ValueError):
+            QuboProblem(2, np.zeros(2), np.zeros((3, 3)), 0.0)
 
     def test_rejects_bad_encoding(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from qubogs.reference import (
     condition_number,
     direct_solve,
     relative_error,
-    spectral_norm,
+    solve_dense,
 )
 
 
@@ -38,6 +38,17 @@ def test_direct_solve_needs_pivoting():
 def test_direct_solve_singular():
     with pytest.raises(SingularMatrixError):
         direct_solve(LinearSystem.from_dense([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]))
+
+
+def test_direct_solve_nearly_singular():
+    # LAPACK alone would return entries near +-9e14 here
+    with pytest.raises(SingularMatrixError):
+        direct_solve(LinearSystem.from_dense([[1.0, 1.0], [1.0, 1.0 + 1e-15]], [1.0, 2.0]))
+
+
+def test_solve_dense_rejects_nonsquare():
+    with pytest.raises(ValueError):
+        solve_dense(np.ones((2, 3)), np.ones(2))
 
 
 def test_direct_solve_random_against_numpy():
@@ -83,19 +94,9 @@ def test_relative_error_examples():
         relative_error(x, np.zeros(2))
 
 
-def test_spectral_norm_matches_svd():
-    rng = np.random.default_rng(3)
-    m = rng.uniform(-1, 1, (6, 4))
-    norm, ok = spectral_norm(m)
-    assert ok
-    assert norm == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-9)
-    assert spectral_norm(np.zeros((3, 3)))[0] == 0.0
-
-
 def test_condition_identity():
     est = condition_number(LinearSystem.from_dense(np.eye(5), np.ones(5)))
     assert est.kappa == pytest.approx(1.0, rel=0.01)
-    assert est.converged
 
 
 def test_condition_diagonal_ratio():
@@ -108,7 +109,6 @@ def test_condition_matches_svd_oracle(heat_demo):
     est = condition_number(system)
     sv = np.linalg.svd(system.to_dense(), compute_uv=False)
     assert est.kappa == pytest.approx(sv[0] / sv[-1], rel=0.01)
-    assert est.converged
 
 
 def test_condition_scale_invariant():
@@ -119,11 +119,9 @@ def test_condition_scale_invariant():
     assert k2 == pytest.approx(k1, rel=0.01)
 
 
-def test_condition_reports_nonconvergence():
-    # a one-iteration cap cannot settle the Rayleigh quotient
-    system = LinearSystem.from_dense(np.diag([1.0, 2.0, 3.0]), [1.0, 1.0, 1.0])
-    est = condition_number(system, max_iters=1)
-    assert not est.converged
+def test_condition_singular():
+    with pytest.raises(SingularMatrixError):
+        condition_number(LinearSystem.from_dense([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]))
 
 
 def test_condition_scalar_system():

@@ -10,21 +10,21 @@ from qubogs.samplers import SamplerParams, default_beta_range, energy, solve_exh
 
 
 def test_energy_examples():
-    zero = QuboProblem(3, np.zeros(3), {}, 0.0)
+    zero = QuboProblem(3, np.zeros(3), np.zeros((3, 3)), 0.0)
     assert energy(zero, [0, 0, 0]) == 0.0
-    single = QuboProblem(1, np.array([3.0]), {}, 0.0)
+    single = QuboProblem(1, np.array([3.0]), np.zeros((1, 1)), 0.0)
     assert energy(single, [1]) == 3.0
-    folded = QuboProblem(1, np.array([-1.0]), {}, 1.0)
+    folded = QuboProblem(1, np.array([-1.0]), np.zeros((1, 1)), 1.0)
     assert energy(folded, [1]) == -1.0
 
 
 def test_energy_length_mismatch():
     with pytest.raises(ValueError):
-        energy(QuboProblem(2, np.zeros(2), {}, 0.0), [1])
+        energy(QuboProblem(2, np.zeros(2), np.zeros((2, 2)), 0.0), [1])
 
 
 def test_exhaustive_positive_linear():
-    prob = QuboProblem(5, np.array([0.5, 1.0, 2.0, 0.1, 3.0]), {}, 0.0)
+    prob = QuboProblem(5, np.array([0.5, 1.0, 2.0, 0.1, 3.0]), np.zeros((5, 5)), 0.0)
     best = solve_exhaustive(prob).best_sample
     assert best.bits == (0,) * 5
     assert best.energy == 0.0
@@ -60,7 +60,7 @@ def test_exhaustive_beats_quantized_truth():
 
 def test_exhaustive_size_limit():
     with pytest.raises(ValueError):
-        solve_exhaustive(QuboProblem(25, np.zeros(25), {}, 0.0))
+        solve_exhaustive(QuboProblem(25, np.zeros(25), np.zeros((25, 25)), 0.0))
 
 
 def test_exhaustive_scan_crosses_chunk_boundaries():
@@ -68,7 +68,7 @@ def test_exhaustive_scan_crosses_chunk_boundaries():
     # with pure linear terms the minimum sets exactly the negative coefficients
     rng = np.random.default_rng(2)
     lin = rng.uniform(-1.0, 1.0, 19)
-    best = solve_exhaustive(QuboProblem(19, lin, {}, 0.0)).best_sample
+    best = solve_exhaustive(QuboProblem(19, lin, np.zeros((19, 19)), 0.0)).best_sample
     assert best.bits == tuple(int(v < 0) for v in lin)
     assert best.energy == pytest.approx(float(lin[lin < 0].sum()), abs=1e-12)
 
@@ -77,18 +77,18 @@ def test_exhaustive_tie_break_across_chunks(monkeypatch):
     import qubogs.samplers as samplers
 
     monkeypatch.setattr(samplers, "_CHUNK", 8)  # force many chunks on a tiny scan
-    best = solve_exhaustive(QuboProblem(6, np.zeros(6), {}, 0.0)).best_sample
+    best = solve_exhaustive(QuboProblem(6, np.zeros(6), np.zeros((6, 6)), 0.0)).best_sample
     assert best.bits == (0,) * 6  # earliest (lexicographically smallest) tie wins
     rng = np.random.default_rng(4)
     lin = rng.uniform(-1.0, 1.0, 6)
-    chunked = solve_exhaustive(QuboProblem(6, lin, {}, 0.0)).best_sample
+    chunked = solve_exhaustive(QuboProblem(6, lin, np.zeros((6, 6)), 0.0)).best_sample
     monkeypatch.setattr(samplers, "_CHUNK", 1 << 18)
-    assert chunked == solve_exhaustive(QuboProblem(6, lin, {}, 0.0)).best_sample
+    assert chunked == solve_exhaustive(QuboProblem(6, lin, np.zeros((6, 6)), 0.0)).best_sample
 
 
 def test_exhaustive_tie_break_lexicographic():
     # every state of the zero problem has energy 0; the scan must report all-zeros
-    best = solve_exhaustive(QuboProblem(4, np.zeros(4), {}, 0.0)).best_sample
+    best = solve_exhaustive(QuboProblem(4, np.zeros(4), np.zeros((4, 4)), 0.0)).best_sample
     assert best.bits == (0, 0, 0, 0)
 
 
@@ -134,11 +134,11 @@ def test_sa_noise_hamming_statistics():
 
 
 def test_default_beta_range():
-    prob = QuboProblem(2, np.array([0.5, -4.0]), {(0, 1): 0.25}, 0.0)
+    prob = QuboProblem(2, np.array([0.5, -4.0]), np.array([[0.0, 0.25], [0.25, 0.0]]), 0.0)
     lo, hi = default_beta_range(prob)
     assert lo == pytest.approx(0.1 / 4.0)
     assert hi == pytest.approx(10.0 / 0.25)
-    assert default_beta_range(QuboProblem(2, np.zeros(2), {}, 0.0)) == (0.1, 10.0)
+    assert default_beta_range(QuboProblem(2, np.zeros(2), np.zeros((2, 2)), 0.0)) == (0.1, 10.0)
 
 
 def test_params_validation():
