@@ -18,8 +18,6 @@ from .encoding import (
     decode,
     encode,
     estimate_resources,
-    inverse_index,
-    logical_index,
     required_bits,
 )
 from .heatgrid import HeatProblem, assemble_system, boundary_temperature, grid_to_field, named_boundary
@@ -66,9 +64,7 @@ __all__ = [
     "estimate_resources",
     "grid_to_field",
     "gs_sweep",
-    "inverse_index",
     "iterate",
-    "logical_index",
     "named_boundary",
     "partition",
     "relative_error",

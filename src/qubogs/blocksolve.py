@@ -21,7 +21,7 @@ import numpy as np
 
 from .encoding import BinaryEncoding, QuboProblem, decode, encode
 from .linear import LinearSystem
-from .reference import relative_error, solve_dense
+from .reference import _singular_values, relative_error, solve_dense
 from .samplers import BACKENDS, SampleSet, SamplerParams
 from .trace import IterationRecord, IterationTrace
 
@@ -113,19 +113,12 @@ def shrink_encoding(initial: BinaryEncoding, x_center, gamma: float, k: int) -> 
 
 def _subsystem(system: LinearSystem, lo: int, hi: int, x: np.ndarray) -> LinearSystem:
     """Diagonal block lo:hi with off-block couplings folded into the right-hand side."""
-    rows = []
-    rhs = np.empty(hi - lo)
-    for i in range(lo, hi):
-        row = []
-        s = 0.0
-        for j, v in system.rows[i]:
-            if lo <= j < hi:
-                row.append((j - lo, v))
-            else:
-                s += v * x[j]
-        rows.append(row)
-        rhs[i - lo] = system.b[i] - s
-    return LinearSystem(hi - lo, rows, rhs)
+    start, stop = np.searchsorted(system.rows, (lo, hi))
+    rows, cols, vals = system.rows[start:stop] - lo, system.cols[start:stop], system.vals[start:stop]
+    inside = (lo <= cols) & (cols < hi)
+    off = ~inside
+    coupling = np.bincount(rows[off], vals[off] * x[cols[off]], minlength=hi - lo)
+    return LinearSystem(hi - lo, rows[inside], cols[inside] - lo, vals[inside], system.b[lo:hi] - coupling)
 
 
 BlockSolver = Callable[[LinearSystem, int, int], np.ndarray]
@@ -145,7 +138,8 @@ def gs_sweep(system: LinearSystem, part: BlockPartition, x_prev, block_solver: B
 
 
 def _exact_block_solver(sub: LinearSystem, lo: int, hi: int) -> np.ndarray:
-    return solve_dense(sub.to_dense(), sub.b)
+    # iterate has rank-tested every diagonal block before the first sweep
+    return np.linalg.solve(sub.to_dense(), sub.b)
 
 
 def _derive_seed(master: int, k: int, block: int) -> int:
@@ -187,6 +181,10 @@ def iterate(system: LinearSystem, config: SolveConfig, exact_solution=None, x0=N
     is_absolute = b_norm == 0.0
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    if exact_backend:
+        # the diagonal blocks stay the same in every sweep, so one rank test each suffices
+        for lo, hi in part.blocks:
+            _singular_values(_subsystem(system, lo, hi, np.zeros(n)).to_dense())
     records: list[IterationRecord] = []
     converged = False
     for k in range(1, config.max_iters + 1):

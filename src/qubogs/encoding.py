@@ -71,24 +71,11 @@ class BinaryEncoding:
         return BinaryEncoding(hi - lo, self.bits, self.scale[lo:hi], self.offset[lo:hi])
 
 
-def logical_index(i: int, r: int, bits: int) -> int:
-    """Flatten (variable i, bit r) to l = i*R + r."""
-    if not 0 <= r < bits:
-        raise ValueError(f"bit index {r} outside 0..{bits - 1}")
-    if i < 0:
-        raise ValueError("variable index must be nonnegative")
-    return i * bits + r
-
-
-def inverse_index(l: int, bits: int) -> tuple[int, int]:
-    """Recover (variable, bit) = (l // R, l % R)."""
-    if l < 0:
-        raise ValueError("flat index must be nonnegative")
-    return l // bits, l % bits
-
-
 def decode(bits_values, enc: BinaryEncoding) -> np.ndarray:
-    """Map a flat bitstring of length n*R back to the real vector it represents."""
+    """Map a flat bitstring of length n*R back to the real vector it represents.
+
+    Bit r of variable i sits at flat index i*R + r.
+    """
     q = np.asarray(bits_values, dtype=float)
     if q.shape != (enc.size,):
         raise ValueError(f"bitstring must have length {enc.size}, got {q.shape}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linear import LinearSystem, Row
+from .linear import LinearSystem
 
 EDGES = ("bottom", "top", "left", "right")
 
@@ -103,34 +103,33 @@ def assemble_system(problem: HeatProblem) -> LinearSystem:
     m = problem.m
     nside = m - 1
     n = nside * nside
-    rows: list[Row] = []
+    entries: list[tuple[int, int, float]] = []  # (row, col, value)
     b = np.zeros(n)
     for j in range(1, m):
         for i in range(1, m):
             k = problem.row_of(i, j)
-            row: Row = []
             # neighbors in ascending column order: below, left, center, right, above
             if j - 1 >= 1:
-                row.append((k - nside, -1.0))
+                entries.append((k, k - nside, -1.0))
             else:
                 b[k] += problem.edge_value("bottom", problem.node(i))
             if i - 1 >= 1:
-                row.append((k - 1, -1.0))
+                entries.append((k, k - 1, -1.0))
             else:
                 b[k] += problem.edge_value("left", problem.node(j))
-            row.append((k, 4.0))
+            entries.append((k, k, 4.0))
             if i + 1 <= m - 1:
-                row.append((k + 1, -1.0))
+                entries.append((k, k + 1, -1.0))
             else:
                 b[k] += problem.edge_value("right", problem.node(j))
             if j + 1 <= m - 1:
-                row.append((k + nside, -1.0))
+                entries.append((k, k + nside, -1.0))
             else:
                 b[k] += problem.edge_value("top", problem.node(i))
-            rows.append(row)
     for i, j, strength in problem.sources:
         b[problem.row_of(i, j)] += strength
-    return LinearSystem(n, rows, b)
+    rows, cols, vals = zip(*entries)
+    return LinearSystem(n, rows, cols, vals, b)
 
 
 def grid_to_field(x, problem: HeatProblem) -> np.ndarray:

@@ -1,16 +1,20 @@
-"""Row-wise sparse linear systems at desk scale."""
+"""Sparse linear systems stored as row-sorted coordinate arrays."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# One matrix row as (column, value) pairs, kept sorted by column.
-Row = list[tuple[int, float]]
-
 
 @dataclass
 class LinearSystem:
-    """A square system A x = b with A stored as per-row (column, value) lists.
+    """A square system A x = b with A stored as coordinate arrays.
+
+    ``rows``, ``cols`` and ``vals`` give the row, the column and the value of
+    every stored entry, sorted by row and then by column, with no (row, col)
+    pair twice. That order is also the summation order: ``np.bincount`` adds
+    its weights into each bin one at a time in storage order, starting from
+    0.0, so every row sum rounds exactly as a left-to-right loop over the
+    row's entries would, and results do not depend on a BLAS kernel's order.
 
     Systems here stay small (a few hundred unknowns), so the sparse storage
     exists to keep matrix-vector products proportional to the number of
@@ -18,59 +22,48 @@ class LinearSystem:
     """
 
     n: int
-    rows: list[Row] = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
+    vals: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        self.rows = np.asarray(self.rows, dtype=np.intp)
+        self.cols = np.asarray(self.cols, dtype=np.intp)
+        self.vals = np.asarray(self.vals, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
         if self.n < 1:
             raise ValueError("system size must be at least 1")
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
         if self.b.shape != (self.n,):
             raise ValueError(f"right-hand side must have length {self.n}")
-        for i, row in enumerate(self.rows):
-            for j, _ in row:
-                if not 0 <= j < self.n:
-                    raise ValueError(f"row {i} references column {j} outside 0..{self.n - 1}")
+        if not (self.rows.ndim == 1 and self.rows.shape == self.cols.shape == self.vals.shape):
+            raise ValueError("rows, cols and vals must be 1-D arrays of equal length")
+        if self.rows.size == 0:
+            return
+        if min(self.rows.min(), self.cols.min()) < 0 or max(self.rows.max(), self.cols.max()) >= self.n:
+            raise ValueError(f"entry index outside 0..{self.n - 1}")
+        if np.any(np.diff(self.rows * self.n + self.cols) <= 0):
+            raise ValueError("entries must be sorted by row, then column, without repeats")
 
     @classmethod
     def from_dense(cls, a, b) -> "LinearSystem":
         a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("coefficient matrix must be square")
-        rows: list[Row] = []
-        for i in range(a.shape[0]):
-            rows.append([(j, float(a[i, j])) for j in range(a.shape[1]) if a[i, j] != 0.0])
-        return cls(a.shape[0], rows, b)
+        rows, cols = np.nonzero(a)  # row-major, so already sorted by row, then column
+        return cls(a.shape[0], rows, cols, a[rows, cols], b)
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for i, row in enumerate(self.rows):
-            for j, v in row:
-                a[i, j] += v
+        a[self.rows, self.cols] = self.vals
         return a
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"vector must have length {self.n}")
-        out = np.zeros(self.n)
-        for i, row in enumerate(self.rows):
-            s = 0.0
-            for j, v in row:
-                s += v * x[j]
-            out[i] = s
-        return out
+        return np.bincount(self.rows, self.vals * x[self.cols], minlength=self.n)
 
     def diagonal(self) -> np.ndarray:
-        d = np.zeros(self.n)
-        for i, row in enumerate(self.rows):
-            for j, v in row:
-                if j == i:
-                    d[i] += v
-        return d
-
-    def max_nonzeros_per_row(self) -> int:
-        return max(len(row) for row in self.rows)
+        on = self.rows == self.cols
+        return np.bincount(self.rows[on], self.vals[on], minlength=self.n)

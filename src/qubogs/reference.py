@@ -55,15 +55,17 @@ def classical_gauss_seidel(
     b_norm = float(np.linalg.norm(b))
     is_absolute = b_norm == 0.0
     denom = 1.0 if is_absolute else b_norm
+    starts = np.searchsorted(system.rows, np.arange(system.n + 1)).tolist()  # row i: entries starts[i]:starts[i+1]
+    cols, vals = system.cols.tolist(), system.vals.tolist()
     x = np.zeros(system.n)
     records = []
     converged = False
     for k in range(1, max_iters + 1):
-        for i, row in enumerate(system.rows):
+        for i in range(system.n):
             s = 0.0
-            for j, v in row:
-                if j != i:
-                    s += v * x[j]
+            for e in range(starts[i], starts[i + 1]):
+                if cols[e] != i:
+                    s += vals[e] * x[cols[e]]
             x[i] = (b[i] - s) / diag[i]
         r = float(np.linalg.norm(system.matvec(x) - b)) / denom
         err = None

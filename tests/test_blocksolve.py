@@ -142,6 +142,28 @@ class TestIterateExact:
         assert trace.converged
         assert np.all(np.diff(trace.residuals) <= 0)
 
+    @pytest.mark.parametrize("max_iters", [1, 25])
+    def test_rank_tests_each_block_once(self, heat_demo, monkeypatch, max_iters):
+        _, system, _ = heat_demo
+        svd = np.linalg.svd
+        calls = []
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        trace = iterate(system, SolveConfig(blocks=9, tol=1e-12, max_iters=max_iters, backend="exact"))
+        assert len(trace) == max_iters
+        assert calls == [(9, 9)] * 9
+
+    def test_singular_block_raises(self):
+        from qubogs.reference import SingularMatrixError
+
+        system = LinearSystem.from_dense([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0])
+        with pytest.raises(SingularMatrixError):
+            iterate(system, SolveConfig(blocks=2, backend="exact"))
+
     def test_large_tolerance_stops_immediately(self, demo_2x2):
         system, _ = demo_2x2
         trace = iterate(system, SolveConfig(blocks=2, tol=10.0, max_iters=50, backend="exact"))

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qubogs
 from qubogs import cli
@@ -96,6 +97,32 @@ def test_config_errors(tmp_path, capsys):
     negative = write_config(tmp_path / "neg.ini", problem={"m": "1"})
     assert cli.main(["solve", str(negative)]) == 1
     assert "problem.m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("bits", "0,3"), ("gammas", "1.5"), ("gammas", "0.8,0"), ("seeds", "-1")],
+)
+def test_sweep_lists_validated_before_running(tmp_path, capsys, key, value):
+    cfg_path = write_config(tmp_path / "cfg.ini", sweep={key: value})
+    assert cli.main(["sweep", str(cfg_path)]) == 1
+    assert f"config error in sweep.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_takes_one_full_svd(tmp_path, monkeypatch):
+    svd = np.linalg.svd
+    shapes = []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    cfg_path = write_config(tmp_path / "cfg.ini")  # 9 unknowns, exact backend in 3 blocks
+    assert cli.main(["solve", str(cfg_path)]) == 0
+    assert shapes.count((9, 9)) == 1
+    assert shapes.count((3, 3)) == 3
 
 
 def test_sources_through_config(tmp_path):

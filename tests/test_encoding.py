@@ -9,8 +9,6 @@ from qubogs.encoding import (
     decode,
     encode,
     estimate_resources,
-    inverse_index,
-    logical_index,
     required_bits,
 )
 from qubogs.heatgrid import HeatProblem, assemble_system
@@ -71,27 +69,6 @@ def assert_matches_loop_encode(system: LinearSystem, enc: BinaryEncoding):
     assert np.array_equal(qubo.linear, linear)
     assert np.array_equal(qubo.pair_matrix(), pairs)
     assert qubo.offset == offset
-
-
-class TestIndexMapping:
-    def test_examples(self):
-        assert logical_index(0, 0, 4) == 0
-        assert logical_index(2, 3, 4) == 11
-        assert inverse_index(11, 4) == (2, 3)
-
-    def test_round_trip(self):
-        for bits in (1, 3, 5):
-            for i in range(6):
-                for r in range(bits):
-                    assert inverse_index(logical_index(i, r, bits), bits) == (i, r)
-
-    def test_range_errors(self):
-        with pytest.raises(ValueError):
-            logical_index(0, 4, 4)
-        with pytest.raises(ValueError):
-            logical_index(-1, 0, 4)
-        with pytest.raises(ValueError):
-            inverse_index(-3, 4)
 
 
 class TestDecode:
