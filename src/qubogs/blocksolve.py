@@ -3,7 +3,9 @@
 The system splits into contiguous blocks. Each iteration sweeps the blocks in
 order, solving the diagonal block against a right-hand side that uses
 already-updated values for earlier blocks and previous-iteration values for
-later ones. A block is solved either exactly (dense elimination) or by
+later ones. The diagonal blocks and their off-block couplings are split out
+once per solve; a sweep only recomputes each block's right-hand side. A block
+is solved either exactly (one dense matrix per block, rank-tested once) or by
 encoding it as a QUBO, sampling with a backend, and decoding the best sample.
 
 With a shrink factor below one, every variable's representable interval is
@@ -111,14 +113,20 @@ def shrink_encoding(initial: BinaryEncoding, x_center, gamma: float, k: int) -> 
     return BinaryEncoding(initial.n, initial.bits, half, half - x_center)
 
 
-def _subsystem(system: LinearSystem, lo: int, hi: int, x: np.ndarray) -> LinearSystem:
-    """Diagonal block lo:hi with off-block couplings folded into the right-hand side."""
+def _split(system: LinearSystem, lo: int, hi: int) -> tuple[LinearSystem, tuple[np.ndarray, ...]]:
+    """Diagonal block lo:hi with right-hand side b[lo:hi], and its off-block (row - lo, col, value) entries."""
     start, stop = np.searchsorted(system.rows, (lo, hi))
     rows, cols, vals = system.rows[start:stop] - lo, system.cols[start:stop], system.vals[start:stop]
     inside = (lo <= cols) & (cols < hi)
     off = ~inside
-    coupling = np.bincount(rows[off], vals[off] * x[cols[off]], minlength=hi - lo)
-    return LinearSystem(hi - lo, rows[inside], cols[inside] - lo, vals[inside], system.b[lo:hi] - coupling)
+    sub = LinearSystem(hi - lo, rows[inside], cols[inside] - lo, vals[inside], system.b[lo:hi])
+    return sub, (rows[off], cols[off], vals[off])
+
+
+def _rhs(sub: LinearSystem, off: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """The block's right-hand side with the off-block couplings at x folded in."""
+    rows, cols, vals = off
+    return sub.b - np.bincount(rows, vals * x[cols], minlength=sub.n)
 
 
 BlockSolver = Callable[[LinearSystem, int, int], np.ndarray]
@@ -132,14 +140,9 @@ def gs_sweep(system: LinearSystem, part: BlockPartition, x_prev, block_solver: B
     if x.shape != (system.n,):
         raise ValueError(f"previous iterate must have length {system.n}")
     for lo, hi in part.blocks:
-        sub = _subsystem(system, lo, hi, x)
-        x[lo:hi] = block_solver(sub, lo, hi)
+        sub, off = _split(system, lo, hi)
+        x[lo:hi] = block_solver(replace(sub, b=_rhs(sub, off, x)), lo, hi)
     return x
-
-
-def _exact_block_solver(sub: LinearSystem, lo: int, hi: int) -> np.ndarray:
-    # iterate has rank-tested every diagonal block before the first sweep
-    return np.linalg.solve(sub.to_dense(), sub.b)
 
 
 def _derive_seed(master: int, k: int, block: int) -> int:
@@ -161,52 +164,40 @@ def iterate(system: LinearSystem, config: SolveConfig, exact_solution=None, x0=N
     trace, not raised.
     """
     n = system.n
-    if not 1 <= config.blocks <= n:
-        raise ValueError(f"block count must satisfy 1 <= blocks <= {n}")
     part = partition(n, config.blocks)
+    # only the right-hand sides change from sweep to sweep, so each block is split once
+    splits = [(lo, hi, *_split(system, lo, hi)) for lo, hi in part.blocks]
     exact_backend = config.backend == "exact"
-    backend: Backend | None = None
-    if not exact_backend:
-        backend = BACKENDS[config.backend] if isinstance(config.backend, str) else config.backend
-
-    initial_enc = BinaryEncoding(
-        n,
-        config.bits,
-        np.broadcast_to(np.asarray(config.scale, dtype=float), (n,)).copy(),
-        np.broadcast_to(np.asarray(config.offset, dtype=float), (n,)).copy(),
-    )
-    enc = initial_enc
-
-    b_norm = float(np.linalg.norm(system.b))
-    is_absolute = b_norm == 0.0
-
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if exact_backend:
-        # the diagonal blocks stay the same in every sweep, so one rank test each suffices
-        for lo, hi in part.blocks:
-            _singular_values(_subsystem(system, lo, hi, np.zeros(n)).to_dense())
+        dense = [sub.to_dense() for _, _, sub, _ in splits]
+        for a in dense:
+            _singular_values(a)  # rank test
+    else:
+        backend: Backend = BACKENDS[config.backend] if isinstance(config.backend, str) else config.backend
+
+    scale, offset = (np.full(n, v, dtype=float) for v in (config.scale, config.offset))
+    enc = initial_enc = BinaryEncoding(n, config.bits, scale, offset)
+    is_absolute = float(np.linalg.norm(system.b)) == 0.0
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"initial iterate must have length {n}")
     records: list[IterationRecord] = []
     converged = False
     for k in range(1, config.max_iters + 1):
         energies: list[float] = []
         clipped: list[int] = []
-
-        if exact_backend:
-            solver: BlockSolver = _exact_block_solver
-        else:
-            current_enc = enc
-
-            def solver(sub: LinearSystem, lo: int, hi: int) -> np.ndarray:
-                block_enc = current_enc.slice(lo, hi)
-                qubo = encode(sub, block_enc)
-                params = replace(config.sampler, seed=_derive_seed(config.sampler.seed, k, lo))
-                best = backend(qubo, params).best_sample
-                energies.append(best.energy)
-                if _saturated_vars(best.bits, block_enc.n, block_enc.bits):
-                    clipped.append(len(energies) - 1)
-                return decode(best.bits, block_enc)
-
-        x = gs_sweep(system, part, x, solver)
+        for p, (lo, hi, sub, off) in enumerate(splits):
+            rhs = _rhs(sub, off, x)
+            if exact_backend:
+                x[lo:hi] = np.linalg.solve(dense[p], rhs)
+                continue
+            block_enc = enc.slice(lo, hi)
+            params = replace(config.sampler, seed=_derive_seed(config.sampler.seed, k, lo))
+            best = backend(encode(replace(sub, b=rhs), block_enc), params).best_sample
+            energies.append(best.energy)
+            if _saturated_vars(best.bits, block_enc.n, block_enc.bits):
+                clipped.append(p)
+            x[lo:hi] = decode(best.bits, block_enc)
         r = residual(system, x)
         err = relative_error(x, exact_solution) if exact_solution is not None else None
         records.append(
@@ -215,8 +206,8 @@ def iterate(system: LinearSystem, config: SolveConfig, exact_solution=None, x0=N
                 x=x.copy(),
                 residual=r,
                 relative_error=err,
-                block_energies=None if exact_backend else list(energies),
-                clipped_blocks=list(clipped),
+                block_energies=None if exact_backend else energies,
+                clipped_blocks=clipped,
                 halfwidth_max=None if exact_backend else float(enc.scale.max()),
             )
         )

@@ -11,6 +11,7 @@ raised, 2 non-convergence (files are still written).
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -78,6 +79,8 @@ def _parse(where: str, raw: str, kind, check=None, reason: str = ""):
         value = kind(raw)
     except (TypeError, ValueError):
         raise ConfigError(where, f"cannot parse {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(where, f"{raw!r} is not a finite number")
     if check is not None and not check(value):
         raise ConfigError(where, reason or f"invalid value {raw!r}")
     return value
@@ -346,6 +349,8 @@ def _read_field_csv(path: str) -> np.ndarray:
             i, j, t = int(parts[0]), int(parts[1]), float(parts[4])
         except ValueError:
             raise ConfigError("field", f"malformed row {line!r}") from None
+        if not math.isfinite(t):
+            raise ConfigError("field", f"non-finite temperature in row {line!r}")
         entries[(i, j)] = t
     if not entries:
         raise ConfigError("field", "no data rows")

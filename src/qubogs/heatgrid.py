@@ -11,6 +11,7 @@ Neighbor terms that fall on an edge move to the right-hand side, so the
 assembled system A x = b reproduces the discrete solution exactly.
 """
 
+import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
@@ -66,15 +67,17 @@ class HeatProblem:
         if int(self.m) != self.m or self.m < 2:
             raise ValueError("m (segments per side) must be an integer >= 2")
         self.m = int(self.m)
-        if self.length <= 0:
-            raise ValueError("plate side length must be positive")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError("plate side length must be positive and finite")
         if self.boundary is not None:
             missing = [e for e in EDGES if e not in self.boundary]
             if missing:
                 raise ValueError(f"boundary profiles missing for edges {missing}")
-        for i, j, _ in self.sources:
+        for i, j, strength in self.sources:
             if not (1 <= i <= self.m - 1 and 1 <= j <= self.m - 1):
                 raise ValueError(f"source at ({i}, {j}) is not an interior node of an m={self.m} grid")
+            if not math.isfinite(strength):
+                raise ValueError(f"source at ({i}, {j}) has non-finite strength {strength}")
 
     @property
     def n(self) -> int:

@@ -146,16 +146,37 @@ class TestIterateExact:
     def test_rank_tests_each_block_once(self, heat_demo, monkeypatch, max_iters):
         _, system, _ = heat_demo
         svd = np.linalg.svd
+        post_init = LinearSystem.__post_init__
         calls = []
+        built = []
 
         def spy(a, *args, **kwargs):
             calls.append(a.shape)
             return svd(a, *args, **kwargs)
 
+        def count_builds(self):
+            built.append(self.n)
+            post_init(self)
+
         monkeypatch.setattr(np.linalg, "svd", spy)
+        monkeypatch.setattr(LinearSystem, "__post_init__", count_builds)
         trace = iterate(system, SolveConfig(blocks=9, tol=1e-12, max_iters=max_iters, backend="exact"))
         assert len(trace) == max_iters
         assert calls == [(9, 9)] * 9
+        # the blocks are split out once per solve, not rebuilt in every sweep
+        assert built == [9] * 9
+
+    @pytest.mark.parametrize("blocks", [9, 10])
+    def test_matches_chained_gs_sweep(self, blocks):
+        problem = HeatProblem(10, sources=[(2, 3, 25.0), (7, 8, -15.0)])
+        system = assemble_system(problem)
+        part = partition(system.n, blocks)
+        trace = iterate(system, SolveConfig(blocks=blocks, tol=1e-300, max_iters=40, backend="exact"))
+        assert len(trace) == 40
+        x = np.zeros(system.n)
+        for rec in trace.records:
+            x = gs_sweep(system, part, x, lambda sub, lo, hi: np.linalg.solve(sub.to_dense(), sub.b))
+            assert np.array_equal(rec.x, x)
 
     def test_singular_block_raises(self):
         from qubogs.reference import SingularMatrixError

@@ -110,6 +110,25 @@ def test_sweep_lists_validated_before_running(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "section, keys, where",
+    [
+        ("problem", {"sources": "2,2,nan"}, "problem"),
+        ("problem", {"length": "inf"}, "problem.length"),
+        ("solver", {"scale": "inf"}, "solver.scale"),
+        ("solver", {"offset": "nan"}, "solver.offset"),
+        ("solver", {"tol": "nan"}, "solver.tol"),
+        ("solver", {"beta_initial": "nan", "beta_final": "10.0"}, "solver.beta_initial"),
+    ],
+    ids=["sources", "length", "scale", "offset", "tol", "beta_initial"],
+)
+def test_nonfinite_config_values_rejected(tmp_path, capsys, section, keys, where):
+    cfg_path = write_config(tmp_path / "cfg.ini", **{section: keys})
+    assert cli.main(["solve", str(cfg_path)]) == 1
+    assert f"config error in {where}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_takes_one_full_svd(tmp_path, monkeypatch):
     svd = np.linalg.svd
     shapes = []
@@ -275,6 +294,14 @@ def test_render_rejects_malformed(tmp_path, capsys):
     holes = tmp_path / "holes.csv"
     holes.write_text("i,j,x,y,T\n0,0,0.0,0.0,1.0\n1,1,1.0,1.0,2.0\n")
     assert cli.main(["render", str(holes), str(tmp_path / "y.pgm")]) == 1
+    capsys.readouterr()
+
+    for cell in ("nan", "inf"):
+        nonfinite = tmp_path / f"{cell}.csv"
+        nonfinite.write_text(f"i,j,x,y,T\n0,0,0.0,0.0,1.0\n0,1,0.0,1.0,{cell}\n1,0,1.0,0.0,2.0\n1,1,1.0,1.0,3.0\n")
+        assert cli.main(["render", str(nonfinite), str(tmp_path / f"{cell}.pgm")]) == 1
+        assert "config error in field" in capsys.readouterr().err
+        assert not (tmp_path / f"{cell}.pgm").exists()
 
 
 def test_exit_codes_through_interpreter(tmp_path):

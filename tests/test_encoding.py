@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qubogs.blocksolve import _subsystem, partition, shrink_encoding
+from qubogs.blocksolve import gs_sweep, partition, shrink_encoding
 from qubogs.encoding import (
     BinaryEncoding,
     QuboProblem,
@@ -230,8 +230,17 @@ class TestLoopEncodeOracle:
             # a window centered near the solution, as after k-1 shrinking sweeps
             x = exact + rng.normal(0.0, 0.8**k, system.n)
             enc = shrink_encoding(initial, x, 0.8, k)
-            for lo, hi in partition(system.n, blocks).blocks:
-                assert_matches_loop_encode(_subsystem(system, lo, hi, x), enc.slice(lo, hi))
+            subs = []
+
+            def record(sub, lo, hi):
+                # the block system as the solver sees it; x[lo:hi] back keeps every block at x
+                subs.append((sub, lo, hi))
+                return x[lo:hi]
+
+            gs_sweep(system, partition(system.n, blocks), x, record)
+            assert len(subs) == blocks
+            for sub, lo, hi in subs:
+                assert_matches_loop_encode(sub, enc.slice(lo, hi))
 
 
 class TestQuboProblemValidation:

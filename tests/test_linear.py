@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qubogs.blocksolve import _subsystem, partition, residual
+from qubogs.blocksolve import gs_sweep, partition, residual
 from qubogs.heatgrid import HeatProblem, assemble_system
 from qubogs.linear import LinearSystem
 from qubogs.reference import direct_solve
@@ -88,15 +88,31 @@ def loop_subsystem(rows: list[list[tuple[int, float]]], b: np.ndarray, lo: int, 
     return a, rhs
 
 
-def assert_matches_loops(system: LinearSystem, a: np.ndarray, x: np.ndarray, blocks) -> None:
+def swept_blocks(system: LinearSystem, part, x: np.ndarray) -> list:
+    """The (block system, lo, hi) that gs_sweep hands its block solver at iterate x.
+
+    The recording solver returns x[lo:hi] unchanged, so every block sees x.
+    """
+    seen = []
+
+    def record(sub, lo, hi):
+        seen.append((sub, lo, hi))
+        return x[lo:hi]
+
+    gs_sweep(system, part, x, record)
+    return seen
+
+
+def assert_matches_loops(system: LinearSystem, a: np.ndarray, x: np.ndarray, part) -> None:
     rows = loop_rows(a)
     ax = loop_matvec(rows, x)
     assert np.array_equal(system.matvec(x), ax)
     r = float(np.linalg.norm(ax - system.b))
     b_norm = float(np.linalg.norm(system.b))
     assert residual(system, x) == (r if b_norm == 0.0 else r / b_norm)
-    for lo, hi in blocks:
-        sub = _subsystem(system, lo, hi, x)
+    seen = swept_blocks(system, part, x)
+    assert [(lo, hi) for _, lo, hi in seen] == part.blocks
+    for sub, lo, hi in seen:
         block, rhs = loop_subsystem(rows, system.b, lo, hi, x)
         assert np.array_equal(sub.to_dense(), block)
         assert np.array_equal(sub.b, rhs)
@@ -118,7 +134,7 @@ class TestLoopOracle:
             # one block per unknown up to one block for the whole system: rows keep three or
             # more off-block entries when the blocks are small and the matrix dense
             blocks = int(rng.integers(1, n + 1))
-            assert_matches_loops(system, a, x, partition(n, blocks).blocks)
+            assert_matches_loops(system, a, x, partition(n, blocks))
 
     @pytest.mark.parametrize("m, blocks", [(10, 9), (20, 19)])
     def test_blocks_of_sourced_plate(self, m, blocks):
@@ -130,4 +146,4 @@ class TestLoopOracle:
         for k in (1, 4, 12, 30):
             # iterates closing in on the solution, as after k-1 shrinking sweeps
             x = exact + rng.normal(0.0, 0.8**k, system.n)
-            assert_matches_loops(system, a, x, partition(system.n, blocks).blocks)
+            assert_matches_loops(system, a, x, partition(system.n, blocks))
