@@ -82,8 +82,8 @@ class SolveConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("shrink factor gamma must lie in (0, 1]")
-        if self.tol <= 0:
-            raise ValueError("residual tolerance must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("residual tolerance must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if isinstance(self.backend, str) and self.backend != "exact" and self.backend not in BACKENDS:

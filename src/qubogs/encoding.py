@@ -154,10 +154,6 @@ class QuboProblem:
         if np.any(np.diag(self.quadratic) != 0.0):
             raise ValueError("pair matrix must have a zero diagonal")
 
-    def coefficient_magnitudes(self) -> np.ndarray:
-        pairs = self.quadratic[np.triu_indices(self.size, 1)]
-        return np.abs(np.concatenate([self.linear, pairs]))
-
     def pair_matrix(self) -> np.ndarray:
         """Symmetric matrix W with W[l, k] = W[k, l] = coefficient of q_l q_k, zero diagonal."""
         return self.quadratic

@@ -41,9 +41,8 @@ class SamplerParams:
             raise ValueError("sweeps must be >= 1")
         if (self.beta_initial is None) != (self.beta_final is None):
             raise ValueError("set both beta endpoints or neither")
-        if self.beta_initial is not None:
-            if self.beta_initial <= 0 or self.beta_final < self.beta_initial:
-                raise ValueError("beta schedule requires beta_final >= beta_initial > 0")
+        if self.beta_initial is not None and not 0.0 < self.beta_initial <= self.beta_final < np.inf:
+            raise ValueError("beta schedule requires finite beta_final >= beta_initial > 0")
         if not 0.0 <= self.noise_p < 1.0:
             raise ValueError("noise_p must lie in [0, 1)")
         if int(self.seed) != self.seed or self.seed < 0:
@@ -59,15 +58,13 @@ class Sample:
 
 @dataclass
 class SampleSet:
-    """Samples sorted by (energy, bitstring); ``best`` always points at index 0."""
+    """Samples sorted by (energy, bitstring), so ``samples[0]`` is the best one."""
 
     samples: list[Sample]
-    params: SamplerParams | None
-    best: int = 0
 
     @property
     def best_sample(self) -> Sample:
-        return self.samples[self.best]
+        return self.samples[0]
 
     @property
     def total_reads(self) -> int:
@@ -83,7 +80,8 @@ def energy(problem: QuboProblem, bits) -> float:
 
 
 def default_beta_range(problem: QuboProblem) -> tuple[float, float]:
-    mags = problem.coefficient_magnitudes()
+    # W is symmetric with a zero diagonal, so its entries have the magnitudes of the pairs
+    mags = np.abs(np.concatenate([problem.linear, problem.quadratic.ravel()]))
     largest = mags.max() if mags.size else 0.0
     nonzero = mags[mags > 0]
     if largest == 0.0 or nonzero.size == 0:
@@ -121,7 +119,7 @@ def solve_exhaustive(problem: QuboProblem) -> SampleSet:
             best_state = int(states[i])
     bits = tuple(int(b) for b in _bit_matrix(np.array([best_state]), size)[0])
     # re-evaluate the winner alone so its energy does not depend on the chunking
-    return SampleSet([Sample(bits, energy(problem, bits), 1)], params=None)
+    return SampleSet([Sample(bits, energy(problem, bits), 1)])
 
 
 _SWEEP_BLOCK = 128
@@ -159,27 +157,23 @@ def solve_sa(problem: QuboProblem, params: SamplerParams) -> SampleSet:
             beta = betas[block_start + t]
             acc_t = accepts[:, t, :]
             for l in range(size):
-                # accept when exp(-beta*dE) beats the draw; dE <= 0 always passes
-                delta = (1.0 - 2.0 * q[:, l]) * fields[:, l]
+                # accept when exp(-beta*dE) beats the draw; dE <= 0 always passes.
+                # Reads that keep their bit add +-0.0, which changes no comparison.
+                sign = 1.0 - 2.0 * q[:, l]
+                delta = sign * fields[:, l]
                 flip = acc_t[:, l] < np.exp(np.minimum(-beta * delta, 50.0))
-                idx = np.nonzero(flip)[0]
-                if idx.size == 0:
-                    continue
-                sign = 1.0 - 2.0 * q[idx, l]
-                q[idx, l] += sign
-                fields[idx] += sign[:, None] * w[l]
+                d = np.where(flip, sign, 0.0)
+                q[:, l] += d
+                fields += d[:, None] * w[l]
 
     if params.noise_p > 0:
         noise = np.stack([rng.random(size) for rng in rngs])
         q = np.where(noise < params.noise_p, 1.0 - q, q)
 
-    counts: dict[tuple[int, ...], int] = {}
-    for read in range(params.num_reads):
-        bits = tuple(int(b) for b in q[read])
-        counts[bits] = counts.get(bits, 0) + 1
-    samples = [Sample(bits, energy(problem, bits), occ) for bits, occ in counts.items()]
+    distinct, counts = np.unique(q, axis=0, return_counts=True)
+    samples = [Sample(tuple(int(b) for b in row), energy(problem, row), int(occ)) for row, occ in zip(distinct, counts)]
     samples.sort(key=lambda s: (s.energy, s.bits))
-    return SampleSet(samples, params=params)
+    return SampleSet(samples)
 
 
 def _sample_exhaustive(problem: QuboProblem, params: SamplerParams) -> SampleSet:

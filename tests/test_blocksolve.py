@@ -221,6 +221,9 @@ class TestIterateExact:
             SolveConfig(gamma=1.2)
         with pytest.raises(ValueError):
             SolveConfig(tol=0.0)
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SolveConfig(tol=tol)  # a NaN tolerance would never be met
         with pytest.raises(ValueError):
             SolveConfig(backend="annealer-9000")
 

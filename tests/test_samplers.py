@@ -3,10 +3,21 @@ import pytest
 
 from conftest import SUITE_SEED
 from corpus_problems import small_corpus
+from qubogs.blocksolve import SolveConfig, iterate
 from qubogs.encoding import BinaryEncoding, QuboProblem, decode, encode
+from qubogs.heatgrid import HeatProblem, assemble_system
 from qubogs.linear import LinearSystem
 from qubogs.reference import direct_solve
-from qubogs.samplers import SamplerParams, default_beta_range, energy, solve_exhaustive, solve_sa
+from qubogs.samplers import (
+    _SWEEP_BLOCK,
+    Sample,
+    SampleSet,
+    SamplerParams,
+    default_beta_range,
+    energy,
+    solve_exhaustive,
+    solve_sa,
+)
 
 
 def test_energy_examples():
@@ -112,7 +123,6 @@ def test_sa_reports_all_reads_sorted():
     assert result.total_reads == 30
     energies = [s.energy for s in result.samples]
     assert energies == sorted(energies)
-    assert result.best == 0
     assert all(result.best_sample.energy <= e for e in energies)
 
 
@@ -152,6 +162,9 @@ def test_params_validation():
         SamplerParams(noise_p=1.0)
     with pytest.raises(ValueError):
         SamplerParams(seed=-1)
+    for lo, hi in [(1.0, np.inf), (np.nan, np.nan), (np.nan, 1.0), (1.0, np.nan), (np.inf, np.inf)]:
+        with pytest.raises(ValueError):
+            SamplerParams(beta_initial=lo, beta_final=hi)
 
 
 def test_explicit_beta_schedule_used():
@@ -159,3 +172,114 @@ def test_explicit_beta_schedule_used():
     a = solve_sa(prob, SamplerParams(num_reads=10, sweeps=40, seed=3, beta_initial=0.01, beta_final=20.0))
     b = solve_sa(prob, SamplerParams(num_reads=10, sweeps=40, seed=3))
     assert a.total_reads == b.total_reads == 10  # both run; schedules may or may not agree
+
+
+def loop_solve_sa(problem: QuboProblem, params: SamplerParams) -> SampleSet:
+    """Reference annealer: flips only the accepting reads and tallies reads in a dict.
+
+    The beta range comes from the upper-triangle pair coefficients, as it was
+    computed before ``default_beta_range`` read the whole pair matrix.
+    """
+    size = problem.size
+    beta_lo, beta_hi = params.beta_initial, params.beta_final
+    if beta_lo is None:
+        mags = np.abs(np.concatenate([problem.linear, problem.quadratic[np.triu_indices(size, 1)]]))
+        largest = mags.max() if mags.size else 0.0
+        nonzero = mags[mags > 0]
+        beta_lo, beta_hi = (0.1, 10.0) if largest == 0.0 or nonzero.size == 0 else (0.1 / largest, 10.0 / float(nonzero.min()))
+    if params.sweeps == 1:
+        betas = np.array([beta_lo])
+    else:
+        betas = beta_lo * (beta_hi / beta_lo) ** (np.arange(params.sweeps) / (params.sweeps - 1))
+
+    w = problem.quadratic
+    rngs = [np.random.default_rng((params.seed, read)) for read in range(params.num_reads)]
+    q = np.stack([rng.integers(0, 2, size=size).astype(float) for rng in rngs])
+    fields = problem.linear[None, :] + q @ w
+    for block_start in range(0, params.sweeps, _SWEEP_BLOCK):
+        block = min(_SWEEP_BLOCK, params.sweeps - block_start)
+        accepts = np.stack([rng.random((block, size)) for rng in rngs])
+        for t in range(block):
+            beta = betas[block_start + t]
+            for l in range(size):
+                delta = (1.0 - 2.0 * q[:, l]) * fields[:, l]
+                idx = np.nonzero(accepts[:, t, l] < np.exp(np.minimum(-beta * delta, 50.0)))[0]
+                if idx.size == 0:
+                    continue
+                sign = 1.0 - 2.0 * q[idx, l]
+                q[idx, l] += sign
+                fields[idx] += sign[:, None] * w[l]
+    if params.noise_p > 0:
+        noise = np.stack([rng.random(size) for rng in rngs])
+        q = np.where(noise < params.noise_p, 1.0 - q, q)
+
+    counts: dict[tuple[int, ...], int] = {}
+    for read in range(params.num_reads):
+        bits = tuple(int(b) for b in q[read])
+        counts[bits] = counts.get(bits, 0) + 1
+    samples = [Sample(bits, energy(problem, bits), occ) for bits, occ in counts.items()]
+    samples.sort(key=lambda s: (s.energy, s.bits))
+    return SampleSet(samples)
+
+
+# sweeps of 1, within one draw block, and across three draw blocks
+ORACLE_SWEEPS = (1, 40, 300)
+ORACLE_READS = (1, 15, 64)
+ORACLE_NOISE = (0.0, 0.3)
+ORACLE_BETAS = ((None, None), (0.05, 8.0))
+
+
+def oracle_params(i: int, seed: int) -> SamplerParams:
+    """The i-th point, modulo 36, of the sweeps x reads x noise x beta grid."""
+    sweeps = ORACLE_SWEEPS[i % 3]
+    reads = ORACLE_READS[i // 3 % 3]
+    noise = ORACLE_NOISE[i // 9 % 2]
+    beta_initial, beta_final = ORACLE_BETAS[i // 18 % 2]
+    return SamplerParams(reads, sweeps, beta_initial, beta_final, seed, noise)
+
+
+def random_qubo(rng, size: int) -> QuboProblem:
+    """Real or small-integer coefficients; integer ones make zero fields and exact ties common."""
+    if rng.random() < 0.5:
+        linear = rng.integers(-2, 3, size).astype(float)
+        pairs = rng.integers(-2, 3, (size, size)).astype(float)
+    else:
+        linear = rng.uniform(-5.0, 5.0, size) * 10.0 ** rng.integers(-3, 3)
+        pairs = rng.uniform(-5.0, 5.0, (size, size)) * (rng.random((size, size)) < 0.7)
+    upper = np.triu(pairs, 1)
+    return QuboProblem(size, linear, upper + upper.T, 0.0)
+
+
+class TestLoopSaOracle:
+    """The masked single-flip kernel and np.unique tally reproduce the loop annealer exactly."""
+
+    def test_small_corpus(self):
+        for i, (name, prob) in enumerate(small_corpus()):
+            for j in range(i % 6, 36, 6):  # a sixth of the grid per problem, shifting with the problem
+                params = oracle_params(j, 100 * i + j)
+                assert solve_sa(prob, params) == loop_solve_sa(prob, params), f"{name} with {params}"
+
+    def test_random_qubos(self):
+        rng = np.random.default_rng(8808)
+        for i in range(100):
+            prob = random_qubo(rng, int(rng.integers(1, 31)))
+            params = oracle_params(i, i)
+            assert solve_sa(prob, params) == loop_solve_sa(prob, params), f"case {i} with {params}"
+
+    def test_block_qubos_of_sourced_sa_solve(self):
+        problem = HeatProblem(10, sources=[(2, 3, 25.0), (7, 8, -15.0)])
+        system = assemble_system(problem)
+        seen = []
+
+        def recording_sa(qubo, params):
+            result = solve_sa(qubo, params)
+            seen.append((qubo, params, result))
+            return result
+
+        sampler = SamplerParams(num_reads=15, sweeps=40, seed=SUITE_SEED)
+        config = SolveConfig(blocks=9, bits=3, gamma=0.8, tol=1e-3, max_iters=6, backend=recording_sa, sampler=sampler)
+        iterate(system, config)
+        assert len(seen) == 54
+        for qubo, params, result in seen:
+            assert qubo.size == 27
+            assert result == loop_solve_sa(qubo, params)
