@@ -80,12 +80,15 @@ class SolveConfig:
     sampler: SamplerParams = field(default_factory=SamplerParams)
 
     def __post_init__(self):
+        for name in ("blocks", "bits", "max_iters"):
+            value = getattr(self, name)
+            if not 1 <= value < np.inf or int(value) != value:
+                raise ValueError(f"{name} must be an integer >= 1")
+            setattr(self, name, int(value))
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("shrink factor gamma must lie in (0, 1]")
         if not 0.0 < self.tol < np.inf:
             raise ValueError("residual tolerance must be finite and positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if isinstance(self.backend, str) and self.backend != "exact" and self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; expected 'exact', one of {sorted(BACKENDS)}, or a callable")
 

@@ -11,6 +11,7 @@ raised, 2 non-convergence (files are still written).
 
 import argparse
 import configparser
+import itertools
 import math
 import os
 import sys
@@ -61,10 +62,7 @@ class ConfigError(Exception):
 class ExperimentConfig:
     problem: HeatProblem
     solver: SolveConfig
-    sweep_bits: list[int]
-    sweep_gammas: list[float]
-    sweep_backends: list[str]
-    sweep_seeds: list[int]
+    sweep: list[SolveConfig]  # the combinations `qubogs sweep` runs, in order
     out_dir: str
 
 
@@ -82,8 +80,12 @@ def _parse(where: str, raw: str, kind, check=None, reason: str = ""):
     if kind is float and not math.isfinite(value):
         raise ConfigError(where, f"{raw!r} is not a finite number")
     if check is not None and not check(value):
-        raise ConfigError(where, reason or f"invalid value {raw!r}")
+        raise ConfigError(where, (reason or "invalid value {!r}").format(raw))
     return value
+
+
+def _known_backend(name: str) -> bool:
+    return name == "exact" or name in BACKENDS
 
 
 def _parse_sources(raw: str) -> list[tuple[int, int, float]]:
@@ -103,7 +105,13 @@ def _parse_list(where: str, raw: str, kind, check=None, reason: str = "") -> lis
     items = [p.strip() for p in raw.split(",") if p.strip()]
     if not items:
         raise ConfigError(where, "list must not be empty")
-    return [_parse(where, p, kind, check, reason) for p in items]
+    values = []
+    for p in items:
+        value = _parse(where, p, kind, check, reason)
+        if value in values:
+            raise ConfigError(where, f"repeated entry {p!r}")
+        values.append(value)
+    return values
 
 
 def load_config(path: str, overrides: argparse.Namespace | None = None) -> ExperimentConfig:
@@ -132,14 +140,12 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> Exper
     except ValueError as exc:
         raise ConfigError("problem", str(exc)) from None
 
-    backend = _get(parser, "solver", "backend").strip()
-    if overrides is not None and getattr(overrides, "backend", None):
-        backend = overrides.backend
-    if backend != "exact" and backend not in BACKENDS:
-        raise ConfigError("solver.backend", f"unknown backend {backend!r}")
+    flag_backend, flag_seed = getattr(overrides, "backend", None), getattr(overrides, "seed", None)
+    backend = flag_backend or _get(parser, "solver", "backend").strip()
+    backend = _parse("solver.backend", backend, str, _known_backend, "unknown backend {!r}")
     seed = _parse("solver.seed", _get(parser, "solver", "seed"), int, lambda v: v >= 0, "seed must be >= 0")
-    if overrides is not None and getattr(overrides, "seed", None) is not None:
-        seed = overrides.seed
+    if flag_seed is not None:
+        seed = flag_seed
 
     beta_raw = (_get(parser, "solver", "beta_initial").strip(), _get(parser, "solver", "beta_final").strip())
     betas = (
@@ -171,32 +177,29 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> Exper
     if not 1 <= solver.blocks <= problem.n:
         raise ConfigError("solver.blocks", f"block count must satisfy 1 <= blocks <= {problem.n}")
 
-    sweep_backends = [
-        b for b in (s.strip() for s in _get(parser, "sweep", "backends").split(",")) if b
-    ]
-    if not sweep_backends:
-        raise ConfigError("sweep.backends", "list must not be empty")
-    for b in sweep_backends:
-        if b != "exact" and b not in BACKENDS:
-            raise ConfigError("sweep.backends", f"unknown backend {b!r}")
-
-    out_dir = _get(parser, "output", "directory").strip()
-    if overrides is not None and getattr(overrides, "out_dir", None):
-        out_dir = overrides.out_dir
-    if not out_dir:
-        out_dir = os.environ.get(OUT_DIR_ENV, "") or "out"
-
-    return ExperimentConfig(
-        problem=problem,
-        solver=solver,
-        sweep_bits=_parse_list("sweep.bits", _get(parser, "sweep", "bits"), int, lambda v: v >= 1, "bits must be >= 1"),
-        sweep_gammas=_parse_list(
-            "sweep.gammas", _get(parser, "sweep", "gammas"), float, lambda v: 0.0 < v <= 1.0, "gamma must lie in (0, 1]"
-        ),
-        sweep_backends=sweep_backends,
-        sweep_seeds=_parse_list("sweep.seeds", _get(parser, "sweep", "seeds"), int, lambda v: v >= 0, "seeds must be >= 0"),
-        out_dir=out_dir,
+    bits = _parse_list("sweep.bits", _get(parser, "sweep", "bits"), int, lambda v: v >= 1, "bits must be >= 1")
+    gammas = _parse_list(
+        "sweep.gammas", _get(parser, "sweep", "gammas"), float, lambda v: 0.0 < v <= 1.0, "gamma must lie in (0, 1]"
     )
+    backends = _parse_list("sweep.backends", _get(parser, "sweep", "backends"), str, _known_backend, "unknown backend {!r}")
+    seeds = _parse_list("sweep.seeds", _get(parser, "sweep", "seeds"), int, lambda v: v >= 0, "seeds must be >= 0")
+    # the flags pin a sweep to one seed or one backend
+    if flag_seed is not None:
+        seeds = [seed]
+    if flag_backend:
+        backends = [backend]
+    try:
+        sweep = [
+            replace(solver, backend=be, bits=r, gamma=g, sampler=replace(sampler, seed=s))
+            for be, r, g, s in itertools.product(backends, bits, gammas, seeds)
+        ]
+    except ValueError as exc:
+        raise ConfigError("sweep", str(exc)) from None
+
+    out_dir = (
+        getattr(overrides, "out_dir", None) or _get(parser, "output", "directory").strip() or os.environ.get(OUT_DIR_ENV) or "out"
+    )
+    return ExperimentConfig(problem=problem, solver=solver, sweep=sweep, out_dir=out_dir)
 
 
 def _fmt(value) -> str:
@@ -214,14 +217,14 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _trace_rows(trace: IterationTrace) -> list[list]:
+def _write_trace(path: str, trace: IterationTrace) -> None:
     rows = []
     for rec in trace.records:
         energy_sum = None if rec.block_energies is None else float(sum(rec.block_energies))
         rows.append(
             [rec.k, float(rec.residual), rec.relative_error, len(rec.clipped_blocks), energy_sum, rec.halfwidth_max]
         )
-    return rows
+    _write_csv(path, ["k", "residual", "relative_error", "clipped_blocks", "best_energy_sum", "halfwidth_max"], rows)
 
 
 def _field_rows(field: np.ndarray, problem: HeatProblem) -> list[list]:
@@ -252,11 +255,7 @@ def run_solve(cfg: ExperimentConfig) -> int:
     exact = np.linalg.solve(system.to_dense(), system.b)
     trace = iterate(system, cfg.solver, exact_solution=_ground_truth(exact))
 
-    _write_csv(
-        os.path.join(cfg.out_dir, "trace.csv"),
-        ["k", "residual", "relative_error", "clipped_blocks", "best_energy_sum", "halfwidth_max"],
-        _trace_rows(trace),
-    )
+    _write_trace(os.path.join(cfg.out_dir, "trace.csv"), trace)
     field = grid_to_field(trace.final_x, cfg.problem)
     _write_csv(os.path.join(cfg.out_dir, "field.csv"), ["i", "j", "x", "y", "T"], _field_rows(field, cfg.problem))
 
@@ -282,8 +281,8 @@ def run_solve(cfg: ExperimentConfig) -> int:
     return 0 if trace.converged else 2
 
 
-def _combo_name(backend: str, bits: int, gamma: float, seed: int) -> str:
-    return f"trace_{backend}_R{bits}_g{_fmt(float(gamma))}_s{seed}.csv"
+def _combo_name(solver: SolveConfig) -> str:
+    return f"trace_{solver.backend}_R{solver.bits}_g{_fmt(float(solver.gamma))}_s{solver.sampler.seed}.csv"
 
 
 def run_sweep(cfg: ExperimentConfig) -> int:
@@ -294,34 +293,18 @@ def run_sweep(cfg: ExperimentConfig) -> int:
     combined: list[list] = []
     status: list[str] = []
     failed = False
-    for backend in cfg.sweep_backends:
-        for bits in cfg.sweep_bits:
-            for gamma in cfg.sweep_gammas:
-                for seed in cfg.sweep_seeds:
-                    name = _combo_name(backend, bits, gamma, seed)
-                    try:
-                        solver = replace(
-                            cfg.solver,
-                            backend=backend,
-                            bits=bits,
-                            gamma=gamma,
-                            sampler=replace(cfg.solver.sampler, seed=seed),
-                        )
-                        trace = iterate(system, solver, exact_solution=exact)
-                    except Exception as exc:  # keep the remaining combinations running
-                        status.append(f"{name}: error: {exc}")
-                        failed = True
-                        continue
-                    _write_csv(
-                        os.path.join(cfg.out_dir, name),
-                        ["k", "residual", "relative_error", "clipped_blocks", "best_energy_sum", "halfwidth_max"],
-                        _trace_rows(trace),
-                    )
-                    for rec in trace.records:
-                        combined.append(
-                            [backend, bits, cfg.solver.blocks, float(gamma), seed, rec.k, float(rec.residual), rec.relative_error]
-                        )
-                    status.append(f"{name}: {'converged' if trace.converged else 'max_iters'} ({len(trace.records)} iterations)")
+    for solver in cfg.sweep:
+        name = _combo_name(solver)
+        try:
+            trace = iterate(system, solver, exact_solution=exact)
+        except Exception as exc:  # keep the remaining combinations running
+            status.append(f"{name}: error: {exc}")
+            failed = True
+            continue
+        _write_trace(os.path.join(cfg.out_dir, name), trace)
+        key = [solver.backend, solver.bits, solver.blocks, float(solver.gamma), solver.sampler.seed]
+        combined.extend(key + [rec.k, float(rec.residual), rec.relative_error] for rec in trace.records)
+        status.append(f"{name}: {'converged' if trace.converged else 'max_iters'} ({len(trace.records)} iterations)")
     _write_csv(
         os.path.join(cfg.out_dir, "sweep.csv"),
         ["backend", "R", "D", "gamma", "seed", "k", "residual", "relative_error"],
@@ -413,14 +396,7 @@ def main(argv=None) -> int:
         if args.command == "render":
             return run_render(args.field_csv, args.out_pgm)
         cfg = load_config(args.config, overrides=args)
-        if args.command == "solve":
-            return run_solve(cfg)
-        # for sweeps the flag overrides narrow the swept lists
-        if args.seed is not None:
-            cfg.sweep_seeds = [args.seed]
-        if args.backend:
-            cfg.sweep_backends = [args.backend]
-        return run_sweep(cfg)
+        return run_solve(cfg) if args.command == "solve" else run_sweep(cfg)
     except ConfigError as exc:
         print(f"config error in {exc}", file=sys.stderr)
         return 1

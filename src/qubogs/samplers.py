@@ -35,10 +35,11 @@ class SamplerParams:
     noise_p: float = 0.0
 
     def __post_init__(self):
-        if self.num_reads < 1:
-            raise ValueError("num_reads must be >= 1")
-        if self.sweeps < 1:
-            raise ValueError("sweeps must be >= 1")
+        for name in ("num_reads", "sweeps"):
+            value = getattr(self, name)
+            if not 1 <= value < np.inf or int(value) != value:
+                raise ValueError(f"{name} must be an integer >= 1")
+            setattr(self, name, int(value))
         if (self.beta_initial is None) != (self.beta_final is None):
             raise ValueError("set both beta endpoints or neither")
         if self.beta_initial is not None and not 0.0 < self.beta_initial <= self.beta_final < np.inf:

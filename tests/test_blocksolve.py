@@ -226,6 +226,14 @@ class TestIterateExact:
                 SolveConfig(tol=tol)  # a NaN tolerance would never be met
         with pytest.raises(ValueError):
             SolveConfig(backend="annealer-9000")
+        # counts must be whole numbers >= 1, checked before any solve starts
+        for key in ("blocks", "bits", "max_iters"):
+            for bad in (2.5, 0, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=key):
+                    SolveConfig(**{key: bad})
+        config = SolveConfig(blocks=3.0, bits=np.int64(2), max_iters=4.0)
+        assert (config.blocks, config.bits, config.max_iters) == (3, 2, 4)
+        assert all(type(v) is int for v in (config.blocks, config.bits, config.max_iters))
 
 
 class TestContractionOperators:

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -98,10 +99,27 @@ def test_config_errors(tmp_path, capsys):
     assert cli.main(["solve", str(negative)]) == 1
     assert "problem.m" in capsys.readouterr().err
 
+    # both backend settings name the entry they reject
+    backend = write_config(tmp_path / "backend.ini", solver={"backend": "annealer"})
+    assert cli.main(["solve", str(backend)]) == 1
+    assert "config error in solver.backend: unknown backend 'annealer'" in capsys.readouterr().err
+    sweep_backend = write_config(tmp_path / "sweep_backend.ini", sweep={"backends": "exact, annealer"})
+    assert cli.main(["sweep", str(sweep_backend)]) == 1
+    assert "config error in sweep.backends: unknown backend 'annealer'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "key, value",
-    [("bits", "0,3"), ("gammas", "1.5"), ("gammas", "0.8,0"), ("seeds", "-1")],
+    [
+        ("bits", "0,3"),
+        ("gammas", "1.5"),
+        ("gammas", "0.8,0"),
+        ("seeds", "-1"),
+        # a repeated entry would run one combination twice and overwrite its trace
+        ("gammas", "0.8,0.80"),
+        ("seeds", "1,01"),
+        ("backends", "sa,exact,sa"),
+    ],
 )
 def test_sweep_lists_validated_before_running(tmp_path, capsys, key, value):
     cfg_path = write_config(tmp_path / "cfg.ini", sweep={key: value})
@@ -185,6 +203,22 @@ def test_sweep_flag_overrides_narrow_lists(tmp_path):
     _, rows = read_csv(tmp_path / "sw" / "sweep.csv")
     assert {r[0] for r in rows} == {"exact"}
     assert {r[4] for r in rows} == {"9"}
+
+
+def test_sweep_runs_combinations_in_list_order(tmp_path):
+    # backends, then bits, gammas and seeds, each list in file order (seeds deliberately unsorted)
+    cfg_path = write_config(
+        tmp_path / "cfg.ini",
+        solver={"max_iters": 2, "num_reads": 2, "sweeps": 5},
+        sweep={"bits": "2,3", "gammas": "1.0,0.8", "backends": "exact,sa", "seeds": "5,4"},
+        output={"directory": str(tmp_path / "sw")},
+    )
+    assert cli.main(["sweep", str(cfg_path)]) == 0
+    combos = list(itertools.product(["exact", "sa"], ["2", "3"], ["1.0", "0.8"], ["5", "4"]))
+    status = (tmp_path / "sw" / "sweep_summary.txt").read_text().strip().split("\n")
+    assert [line.split(":")[0] for line in status] == [f"trace_{b}_R{r}_g{g}_s{s}.csv" for b, r, g, s in combos]
+    _, rows = read_csv(tmp_path / "sw" / "sweep.csv")
+    assert [key for key, _ in itertools.groupby((r[0], r[1], r[3], r[4]) for r in rows)] == combos
 
 
 def test_sweep_product_and_determinism(tmp_path):

@@ -162,6 +162,13 @@ def test_params_validation():
         SamplerParams(noise_p=1.0)
     with pytest.raises(ValueError):
         SamplerParams(seed=-1)
+    for key in ("num_reads", "sweeps"):
+        for bad in (2.5, 0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=key):
+                SamplerParams(**{key: bad})
+    params = SamplerParams(num_reads=4.0, sweeps=np.int64(7))
+    assert (params.num_reads, params.sweeps) == (4, 7)
+    assert type(params.num_reads) is int and type(params.sweeps) is int
     for lo, hi in [(1.0, np.inf), (np.nan, np.nan), (np.nan, 1.0), (1.0, np.nan), (np.inf, np.inf)]:
         with pytest.raises(ValueError):
             SamplerParams(beta_initial=lo, beta_final=hi)
