@@ -7,6 +7,7 @@ from .blocksolve import (
     check_convergence_condition,
     gs_sweep,
     iterate,
+    iterate_many,
     partition,
     residual,
     shrink_encoding,
@@ -65,6 +66,7 @@ __all__ = [
     "grid_to_field",
     "gs_sweep",
     "iterate",
+    "iterate_many",
     "named_boundary",
     "partition",
     "relative_error",

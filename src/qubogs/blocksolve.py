@@ -24,7 +24,7 @@ import numpy as np
 from .encoding import BinaryEncoding, QuboProblem, decode, encode
 from .linear import LinearSystem
 from .reference import _singular_values, relative_error, solve_dense
-from .samplers import BACKENDS, SampleSet, SamplerParams
+from .samplers import BACKENDS, SampleSet, SamplerParams, solve_sa_many
 from .trace import IterationRecord, IterationTrace
 
 Backend = Callable[[QuboProblem, SamplerParams], SampleSet]
@@ -166,60 +166,73 @@ def iterate(system: LinearSystem, config: SolveConfig, exact_solution=None, x0=N
     newest iterate after every sweep. Non-convergence is reported through the
     trace, not raised.
     """
+    return iterate_many(system, [config], exact_solution, x0)[0]
+
+
+def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solution=None, x0=None) -> list[IterationTrace]:
+    """Run ``iterate`` for every config in lockstep; each trace equals that config's own run.
+
+    The configs must share blocks, bits, backend and sweeps. At each block,
+    every unfinished run builds its own QUBO and the SA backend samples them
+    all in one call; other backends are called once per run. A run drops out
+    once it converges or reaches its ``max_iters``.
+    """
+    if len({(c.blocks, c.bits, c.backend, c.sampler.sweeps) for c in configs}) != 1:
+        raise ValueError("lockstep runs need at least one config, all sharing blocks, bits, backend and sweeps")
     n = system.n
-    part = partition(n, config.blocks)
+    first = configs[0]
+    part = partition(n, first.blocks)
     # only the right-hand sides change from sweep to sweep, so each block is split once
     splits = [(lo, hi, *_split(system, lo, hi)) for lo, hi in part.blocks]
-    exact_backend = config.backend == "exact"
+    exact_backend = first.backend == "exact"
     if exact_backend:
         dense = [sub.to_dense() for _, _, sub, _ in splits]
         for a in dense:
             _singular_values(a)  # rank test
     else:
-        backend: Backend = BACKENDS[config.backend] if isinstance(config.backend, str) else config.backend
+        backend: Backend = BACKENDS[first.backend] if isinstance(first.backend, str) else first.backend
 
-    scale, offset = (np.full(n, v, dtype=float) for v in (config.scale, config.offset))
-    enc = initial_enc = BinaryEncoding(n, config.bits, scale, offset)
     is_absolute = float(np.linalg.norm(system.b)) == 0.0
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"initial iterate must have length {n}")
-    records: list[IterationRecord] = []
-    converged = False
-    for k in range(1, config.max_iters + 1):
-        energies: list[float] = []
-        clipped: list[int] = []
-        for p, (lo, hi, sub, off) in enumerate(splits):
-            rhs = _rhs(sub, off, x)
-            if exact_backend:
-                x[lo:hi] = np.linalg.solve(dense[p], rhs)
-                continue
-            block_enc = enc.slice(lo, hi)
-            params = replace(config.sampler, seed=_derive_seed(config.sampler.seed, k, lo))
-            best = backend(encode(replace(sub, b=rhs), block_enc), params).best_sample
-            energies.append(best.energy)
-            if _saturated_vars(best.bits, block_enc.n, block_enc.bits):
-                clipped.append(p)
-            x[lo:hi] = decode(best.bits, block_enc)
-        r = residual(system, x)
-        err = relative_error(x, exact_solution) if exact_solution is not None else None
-        records.append(
-            IterationRecord(
-                k=k,
-                x=x.copy(),
-                residual=r,
-                relative_error=err,
-                block_energies=None if exact_backend else energies,
-                clipped_blocks=clipped,
-                halfwidth_max=None if exact_backend else float(enc.scale.max()),
-            )
-        )
-        if r <= config.tol:
-            converged = True
+    xs = [x.copy() for _ in configs]
+    initial = [BinaryEncoding(n, c.bits, *(np.full(n, v, dtype=float) for v in (c.scale, c.offset))) for c in configs]
+    encs = list(initial)
+    records: list[list[IterationRecord]] = [[] for _ in configs]
+    converged = [False] * len(configs)
+    for k in range(1, max(c.max_iters for c in configs) + 1):
+        active = [i for i, c in enumerate(configs) if not converged[i] and k <= c.max_iters]
+        if not active:
             break
-        if not exact_backend and config.gamma < 1.0:
-            enc = shrink_encoding(initial_enc, x, config.gamma, k + 1)
-    return IterationTrace(records, converged, residual_is_absolute=is_absolute)
+        energies: dict[int, list[float]] = {i: [] for i in active}
+        clipped: dict[int, list[int]] = {i: [] for i in active}
+        for p, (lo, hi, sub, off) in enumerate(splits):
+            if exact_backend:
+                for i in active:
+                    xs[i][lo:hi] = np.linalg.solve(dense[p], _rhs(sub, off, xs[i]))
+                continue
+            block_encs = {i: encs[i].slice(lo, hi) for i in active}
+            problems = [encode(replace(sub, b=_rhs(sub, off, xs[i])), block_encs[i]) for i in active]
+            params = [replace(configs[i].sampler, seed=_derive_seed(configs[i].sampler.seed, k, lo)) for i in active]
+            pairs = list(zip(problems, params))
+            results = solve_sa_many(pairs) if first.backend == "sa" else [backend(*pair) for pair in pairs]
+            for i, result in zip(active, results):
+                best = result.best_sample
+                energies[i].append(best.energy)
+                if _saturated_vars(best.bits, block_encs[i].n, block_encs[i].bits):
+                    clipped[i].append(p)
+                xs[i][lo:hi] = decode(best.bits, block_encs[i])
+        for i in active:
+            config, x = configs[i], xs[i]
+            r = residual(system, x)
+            err = relative_error(x, exact_solution) if exact_solution is not None else None
+            block_energies, halfwidth = (None, None) if exact_backend else (energies[i], float(encs[i].scale.max()))
+            records[i].append(IterationRecord(k, x.copy(), r, err, block_energies, clipped[i], halfwidth))
+            converged[i] = r <= config.tol
+            if not converged[i] and not exact_backend and config.gamma < 1.0:
+                encs[i] = shrink_encoding(initial[i], x, config.gamma, k + 1)
+    return [IterationTrace(rec, conv, residual_is_absolute=is_absolute) for rec, conv in zip(records, converged)]
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blocksolve import SolveConfig, iterate
+from .blocksolve import SolveConfig, iterate, iterate_many
 from .encoding import estimate_resources
 from .heatgrid import HeatProblem, assemble_system, grid_to_field, named_boundary
 from .reference import condition_number, direct_solve
@@ -293,18 +293,21 @@ def run_sweep(cfg: ExperimentConfig) -> int:
     combined: list[list] = []
     status: list[str] = []
     failed = False
-    for solver in cfg.sweep:
-        name = _combo_name(solver)
+    # consecutive combinations with one backend and bit count advance in lockstep
+    for _, group in itertools.groupby(cfg.sweep, key=lambda solver: (solver.backend, solver.bits)):
+        group = list(group)
         try:
-            trace = iterate(system, solver, exact_solution=exact)
+            traces = iterate_many(system, group, exact_solution=exact)
         except Exception as exc:  # keep the remaining combinations running
-            status.append(f"{name}: error: {exc}")
+            status.extend(f"{_combo_name(solver)}: error: {exc}" for solver in group)
             failed = True
             continue
-        _write_trace(os.path.join(cfg.out_dir, name), trace)
-        key = [solver.backend, solver.bits, solver.blocks, float(solver.gamma), solver.sampler.seed]
-        combined.extend(key + [rec.k, float(rec.residual), rec.relative_error] for rec in trace.records)
-        status.append(f"{name}: {'converged' if trace.converged else 'max_iters'} ({len(trace.records)} iterations)")
+        for solver, trace in zip(group, traces):
+            name = _combo_name(solver)
+            _write_trace(os.path.join(cfg.out_dir, name), trace)
+            key = [solver.backend, solver.bits, solver.blocks, float(solver.gamma), solver.sampler.seed]
+            combined.extend(key + [rec.k, float(rec.residual), rec.relative_error] for rec in trace.records)
+            status.append(f"{name}: {'converged' if trace.converged else 'max_iters'} ({len(trace.records)} iterations)")
     _write_csv(
         os.path.join(cfg.out_dir, "sweep.csv"),
         ["backend", "R", "D", "gamma", "seed", "k", "residual", "relative_error"],

@@ -40,8 +40,11 @@ class BinaryEncoding:
     def __post_init__(self):
         self.scale = np.asarray(self.scale, dtype=float)
         self.offset = np.asarray(self.offset, dtype=float)
-        if self.bits < 1:
-            raise ValueError("bits per variable must be >= 1")
+        for name in ("n", "bits"):
+            value = getattr(self, name)
+            if not 1 <= value < np.inf or int(value) != value:
+                raise ValueError(f"{name} must be an integer >= 1")
+            setattr(self, name, int(value))
         if self.scale.shape != (self.n,) or self.offset.shape != (self.n,):
             raise ValueError(f"scale and offset must be vectors of length {self.n}")
         if np.any(self.scale <= 0):

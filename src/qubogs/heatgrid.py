@@ -64,7 +64,7 @@ class HeatProblem:
     sources: list[tuple[int, int, float]] = field(default_factory=list)
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 2:
+        if not 2 <= self.m < math.inf or int(self.m) != self.m:
             raise ValueError("m (segments per side) must be an integer >= 2")
         self.m = int(self.m)
         if not 0.0 < self.length < math.inf:

@@ -46,8 +46,9 @@ class SamplerParams:
             raise ValueError("beta schedule requires finite beta_final >= beta_initial > 0")
         if not 0.0 <= self.noise_p < 1.0:
             raise ValueError("noise_p must lie in [0, 1)")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not 0 <= self.seed < np.inf or int(self.seed) != self.seed:
             raise ValueError("seed must be a nonnegative integer")
+        self.seed = int(self.seed)
 
 
 @dataclass
@@ -126,55 +127,74 @@ def solve_exhaustive(problem: QuboProblem) -> SampleSet:
 _SWEEP_BLOCK = 128
 
 
-def solve_sa(problem: QuboProblem, params: SamplerParams) -> SampleSet:
-    """Simulated annealing: independent Metropolis single-flip reads, geometric betas.
+def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleSet]:
+    """Simulated annealing on several (problem, params) runs of one size and sweep count at once.
 
-    Every read owns the random stream seeded by (master seed, read index), so
-    the result is a pure function of (problem, params) no matter how reads are
-    scheduled. Duplicate final bitstrings aggregate into one sample with
-    summed occurrences.
+    The reads of all runs stack into one array and anneal in lockstep; each
+    read follows its own run's geometric beta schedule and pair matrix. Every
+    read owns the random stream seeded by (its run's seed, read index), so a
+    run's result is a pure function of its (problem, params), whatever else
+    shares the call. Duplicate final bitstrings of a run aggregate into one
+    sample with summed occurrences.
     """
-    size = problem.size
-    beta_lo, beta_hi = (params.beta_initial, params.beta_final)
-    if beta_lo is None:
-        beta_lo, beta_hi = default_beta_range(problem)
-    if params.sweeps == 1:
-        betas = np.array([beta_lo])
-    else:
-        betas = beta_lo * (beta_hi / beta_lo) ** (np.arange(params.sweeps) / (params.sweeps - 1))
-
-    w = problem.pair_matrix()
-    a = problem.linear
-    rngs = [np.random.default_rng((params.seed, read)) for read in range(params.num_reads)]
-    q = np.stack([rng.integers(0, 2, size=size).astype(float) for rng in rngs])
-    fields = a[None, :] + q @ w  # per-bit flip drive, maintained incrementally
+    size, sweeps = runs[0][0].size, runs[0][1].sweeps
+    if any(problem.size != size or params.sweeps != sweeps for problem, params in runs):
+        raise ValueError("batched annealing runs must share problem size and sweep count")
+    rngs, q, fields, betas, w_rows = [], [], [], [], []
+    for problem, params in runs:
+        run_rngs = [np.random.default_rng((params.seed, read)) for read in range(params.num_reads)]
+        run_q = np.stack([rng.integers(0, 2, size=size).astype(float) for rng in run_rngs])
+        w = problem.pair_matrix()
+        rngs += run_rngs
+        q.append(run_q)
+        # per-bit flip drive, maintained incrementally; one matmul per run rounds as a lone run does
+        fields.append(problem.linear[None, :] + run_q @ w)
+        beta_lo, beta_hi = (params.beta_initial, params.beta_final)
+        if beta_lo is None:
+            beta_lo, beta_hi = default_beta_range(problem)
+        schedule = beta_lo * (beta_hi / beta_lo) ** (np.arange(sweeps) / max(sweeps - 1, 1))
+        betas.append(np.broadcast_to(schedule[:, None], (sweeps, params.num_reads)))
+        w_rows.append(np.broadcast_to(w[:, None, :], (size, params.num_reads, size)))
+    q, fields = np.concatenate(q), np.concatenate(fields)
+    neg_betas = -np.concatenate(betas, axis=1)  # (sweep, read)
+    w_rows = np.concatenate(w_rows, axis=1)  # w_rows[l] holds row l of each read's pair matrix
 
     # acceptance draws come in sweep blocks to bound memory; within each read
     # the draw order is fixed, so blocking does not change the stream
-    for block_start in range(0, params.sweeps, _SWEEP_BLOCK):
-        block = min(_SWEEP_BLOCK, params.sweeps - block_start)
+    for block_start in range(0, sweeps, _SWEEP_BLOCK):
+        block = min(_SWEEP_BLOCK, sweeps - block_start)
         accepts = np.stack([rng.random((block, size)) for rng in rngs])
         for t in range(block):
-            beta = betas[block_start + t]
+            neg_beta = neg_betas[block_start + t]
             acc_t = accepts[:, t, :]
             for l in range(size):
                 # accept when exp(-beta*dE) beats the draw; dE <= 0 always passes.
                 # Reads that keep their bit add +-0.0, which changes no comparison.
                 sign = 1.0 - 2.0 * q[:, l]
                 delta = sign * fields[:, l]
-                flip = acc_t[:, l] < np.exp(np.minimum(-beta * delta, 50.0))
+                flip = acc_t[:, l] < np.exp(np.minimum(neg_beta * delta, 50.0))
                 d = np.where(flip, sign, 0.0)
                 q[:, l] += d
-                fields += d[:, None] * w[l]
+                fields += d[:, None] * w_rows[l]
 
-    if params.noise_p > 0:
-        noise = np.stack([rng.random(size) for rng in rngs])
-        q = np.where(noise < params.noise_p, 1.0 - q, q)
+    results = []
+    stop = 0
+    for problem, params in runs:
+        start, stop = stop, stop + params.num_reads
+        run_q = q[start:stop]
+        if params.noise_p > 0:
+            noise = np.stack([rng.random(size) for rng in rngs[start:stop]])
+            run_q = np.where(noise < params.noise_p, 1.0 - run_q, run_q)
+        distinct, counts = np.unique(run_q, axis=0, return_counts=True)
+        samples = [Sample(tuple(int(b) for b in row), energy(problem, row), int(occ)) for row, occ in zip(distinct, counts)]
+        samples.sort(key=lambda s: (s.energy, s.bits))
+        results.append(SampleSet(samples))
+    return results
 
-    distinct, counts = np.unique(q, axis=0, return_counts=True)
-    samples = [Sample(tuple(int(b) for b in row), energy(problem, row), int(occ)) for row, occ in zip(distinct, counts)]
-    samples.sort(key=lambda s: (s.energy, s.bits))
-    return SampleSet(samples)
+
+def solve_sa(problem: QuboProblem, params: SamplerParams) -> SampleSet:
+    """Simulated annealing of one problem: independent Metropolis single-flip reads, geometric betas."""
+    return solve_sa_many([(problem, params)])[0]
 
 
 def _sample_exhaustive(problem: QuboProblem, params: SamplerParams) -> SampleSet:

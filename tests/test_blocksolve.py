@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +10,7 @@ from qubogs.blocksolve import (
     check_convergence_condition,
     gs_sweep,
     iterate,
+    iterate_many,
     partition,
     residual,
     shrink_encoding,
@@ -234,6 +237,38 @@ class TestIterateExact:
         config = SolveConfig(blocks=3.0, bits=np.int64(2), max_iters=4.0)
         assert (config.blocks, config.bits, config.max_iters) == (3, 2, 4)
         assert all(type(v) is int for v in (config.blocks, config.bits, config.max_iters))
+
+
+class TestIterateMany:
+    @pytest.mark.parametrize("backend", ["exact", "exhaustive", "sa"])
+    def test_traces_equal_separate_runs(self, backend):
+        # the runs differ in gamma, tolerance, iteration cap and seed, so they leave the batch at different sweeps
+        system = assemble_system(HeatProblem(5, sources=[(2, 3, 25.0)]))
+        exact = direct_solve(system)
+        base = SolveConfig(blocks=8, bits=2, backend=backend, sampler=SamplerParams(num_reads=4, sweeps=20))
+        settings = [(1.0, 1e-3, 25, 1), (0.8, 1e-6, 25, 2), (0.8, 1e-3, 7, 3)]
+        configs = [
+            replace(base, gamma=g, tol=tol, max_iters=m, sampler=replace(base.sampler, seed=s)) for g, tol, m, s in settings
+        ]
+        together = iterate_many(system, configs, exact_solution=exact)
+        assert len({len(trace) for trace in together}) > 1
+        for config, trace in zip(configs, together):
+            alone = iterate(system, config, exact_solution=exact)
+            assert (trace.converged, len(trace)) == (alone.converged, len(alone))
+            for a, b in zip(trace.records, alone.records):
+                assert np.array_equal(a.x, b.x)
+                fields = ("k", "residual", "relative_error", "block_energies", "clipped_blocks", "halfwidth_max")
+                assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+
+    def test_configs_must_share_block_settings(self, demo_2x2):
+        system, _ = demo_2x2
+        base = SolveConfig(blocks=2, backend="exact")
+        others = [replace(base, blocks=1), replace(base, bits=4), replace(base, backend="sa"), replace(base, sampler=SamplerParams(sweeps=7))]
+        for other in others:
+            with pytest.raises(ValueError, match="sharing"):
+                iterate_many(system, [base, other])
+        with pytest.raises(ValueError, match="at least one"):
+            iterate_many(system, [])
 
 
 class TestContractionOperators:

@@ -244,20 +244,51 @@ def test_sweep_product_and_determinism(tmp_path):
 
 
 def test_sweep_continues_past_failing_combination(tmp_path):
-    # 27-bit blocks exceed the exhaustive scan limit; those combinations are
-    # recorded as errors while the exact ones still run
+    # 27-bit blocks exceed the exhaustive scan limit; every exhaustive combination
+    # is recorded as an error while the exact and annealing groups still run
     cfg_path = write_config(
         tmp_path / "cfg.ini",
         problem={"m": 10},
-        solver={"blocks": 9, "max_iters": 3, "tol": "1e-9"},
-        sweep={"bits": "3", "gammas": "1.0", "backends": "exhaustive,exact", "seeds": "1"},
+        solver={"blocks": 9, "max_iters": 3, "tol": "1e-9", "sweeps": 20},
+        sweep={"bits": "3", "gammas": "1.0", "backends": "exact,exhaustive,sa", "seeds": "1,2"},
         output={"directory": str(tmp_path / "sweep")},
     )
     assert cli.main(["sweep", str(cfg_path)]) == 1
     _, rows = read_csv(tmp_path / "sweep" / "sweep.csv")
-    assert {r[0] for r in rows} == {"exact"}
+    assert [key for key, _ in itertools.groupby((r[0], r[4]) for r in rows)] == [
+        ("exact", "1"), ("exact", "2"), ("sa", "1"), ("sa", "2")
+    ]
+    status = (tmp_path / "sweep" / "sweep_summary.txt").read_text().strip().split("\n")
+    names = [f"trace_{b}_R3_g1.0_s{s}.csv" for b in ("exact", "exhaustive", "sa") for s in (1, 2)]
+    assert [line.split(":")[0] for line in status] == names
+    assert ["error" in line for line in status] == [False, False, True, True, False, False]
+    assert "exhaustive limit" in status[2] and "exhaustive limit" in status[3]
+    written = sorted(p.name for p in (tmp_path / "sweep").glob("trace_*.csv"))
+    assert written == sorted(names[:2] + names[4:])
+
+
+def test_sweep_traces_match_single_solves(tmp_path):
+    # in the annealing group the gamma = 0.8 runs converge and the gamma = 1.0
+    # runs hit max_iters, so the lockstep runs leave the batch at different sweeps
+    solver = {"backend": "sa", "bits": 3, "tol": "1e-3", "max_iters": 40, "num_reads": 15, "sweeps": 80}
+    cfg_path = write_config(
+        tmp_path / "sweep.ini",
+        solver=solver,
+        sweep={"bits": "3", "gammas": "1.0,0.8", "backends": "exact,sa", "seeds": "3,4"},
+        output={"directory": str(tmp_path / "sweep")},
+    )
+    assert cli.main(["sweep", str(cfg_path)]) == 0
     status = (tmp_path / "sweep" / "sweep_summary.txt").read_text()
-    assert "error" in status and "exhaustive" in status
+    for seed in (3, 4):
+        assert f"trace_sa_R3_g1.0_s{seed}.csv: max_iters (40 iterations)" in status
+        assert f"trace_sa_R3_g0.8_s{seed}.csv: converged" in status
+    for backend, gamma, seed in itertools.product(["exact", "sa"], ["1.0", "0.8"], ["3", "4"]):
+        solve_path = write_config(tmp_path / "solve.ini", solver={**solver, "gamma": gamma})
+        out = tmp_path / f"solve_{backend}_{gamma}_{seed}"
+        code = cli.main(["solve", str(solve_path), "--seed", seed, "--backend", backend, "--out-dir", str(out)])
+        assert code == (2 if (backend, gamma) == ("sa", "1.0") else 0)
+        name = f"trace_{backend}_R3_g{gamma}_s{seed}.csv"
+        assert (out / "trace.csv").read_bytes() == (tmp_path / "sweep" / name).read_bytes(), name
 
 
 def test_solve_rejects_blocks_beyond_exhaustive_limit(tmp_path, capsys):

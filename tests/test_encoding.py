@@ -263,3 +263,8 @@ class TestQuboProblemValidation:
             BinaryEncoding.uniform(2, 0, 1.0)
         with pytest.raises(ValueError):
             BinaryEncoding.uniform(2, 3, -1.0)
+        for n, bits in [(2, 2.5), (2.5, 2), (0, 2), (2, np.inf), (np.inf, 2), (2, np.nan), (np.nan, 2)]:
+            with pytest.raises(ValueError, match="n must|bits must"):
+                BinaryEncoding(n, bits, np.ones(2), np.zeros(2))
+        enc = BinaryEncoding(2.0, np.int64(3), np.ones(2), np.zeros(2))
+        assert (enc.n, enc.bits) == (2, 3) and type(enc.n) is int and type(enc.bits) is int

@@ -129,8 +129,9 @@ def test_sources_add_to_rhs():
 
 
 def test_invalid_problems_rejected():
-    with pytest.raises(ValueError):
-        HeatProblem(1)
+    for m in (1, 2.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="m "):
+            HeatProblem(m)
     with pytest.raises(ValueError):
         HeatProblem(3, sources=[(0, 1, 1.0)])  # boundary node
     with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from qubogs.samplers import (
     energy,
     solve_exhaustive,
     solve_sa,
+    solve_sa_many,
 )
 
 
@@ -160,8 +161,10 @@ def test_params_validation():
         SamplerParams(beta_initial=2.0, beta_final=1.0)
     with pytest.raises(ValueError):
         SamplerParams(noise_p=1.0)
-    with pytest.raises(ValueError):
-        SamplerParams(seed=-1)
+    for seed in (-1, 1.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="seed"):
+            SamplerParams(seed=seed)
+    assert type(SamplerParams(seed=3.0).seed) is int
     for key in ("num_reads", "sweeps"):
         for bad in (2.5, 0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=key):
@@ -179,6 +182,14 @@ def test_explicit_beta_schedule_used():
     a = solve_sa(prob, SamplerParams(num_reads=10, sweeps=40, seed=3, beta_initial=0.01, beta_final=20.0))
     b = solve_sa(prob, SamplerParams(num_reads=10, sweeps=40, seed=3))
     assert a.total_reads == b.total_reads == 10  # both run; schedules may or may not agree
+
+
+def test_sa_many_requires_shared_size_and_sweeps():
+    two, three = (QuboProblem(n, np.ones(n), np.zeros((n, n)), 0.0) for n in (2, 3))
+    with pytest.raises(ValueError, match="size"):
+        solve_sa_many([(two, SamplerParams(sweeps=5)), (three, SamplerParams(sweeps=5))])
+    with pytest.raises(ValueError, match="sweep"):
+        solve_sa_many([(two, SamplerParams(sweeps=5)), (two, SamplerParams(sweeps=6))])
 
 
 def loop_solve_sa(problem: QuboProblem, params: SamplerParams) -> SampleSet:
@@ -290,3 +301,14 @@ class TestLoopSaOracle:
         for qubo, params, result in seen:
             assert qubo.size == 27
             assert result == loop_solve_sa(qubo, params)
+
+    def test_lockstep_groups(self):
+        # 1 to 4 runs per call sharing size and sweeps, differing in seed, reads, noise and betas
+        rng = np.random.default_rng(5150)
+        for i in range(24):
+            size = int(rng.integers(1, 31))
+            runs = [
+                (random_qubo(rng, size), oracle_params(3 * int(rng.integers(12)) + i % 3, int(rng.integers(10**6))))
+                for _ in range(1 + i % 4)
+            ]
+            assert solve_sa_many(runs) == [loop_solve_sa(*run) for run in runs], f"group {i} with {[p for _, p in runs]}"
