@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .encoding import BinaryEncoding, QuboProblem, decode, encode
-from .linear import LinearSystem
+from .linear import LinearSystem, whole_number
 from .reference import _singular_values, relative_error, solve_dense
 from .samplers import BACKENDS, SampleSet, SamplerParams, solve_sa_many
 from .trace import IterationRecord, IterationTrace
@@ -52,7 +52,8 @@ class BlockPartition:
 
 def partition(n: int, blocks: int) -> BlockPartition:
     """Split 0..n-1 into ``blocks`` contiguous ranges, larger ranges first."""
-    if not 1 <= blocks <= n:
+    blocks = whole_number("blocks", blocks)
+    if blocks > n:
         raise ValueError(f"block count must satisfy 1 <= blocks <= {n}")
     big = n % blocks
     small_size = n // blocks
@@ -81,10 +82,7 @@ class SolveConfig:
 
     def __post_init__(self):
         for name in ("blocks", "bits", "max_iters"):
-            value = getattr(self, name)
-            if not 1 <= value < np.inf or int(value) != value:
-                raise ValueError(f"{name} must be an integer >= 1")
-            setattr(self, name, int(value))
+            setattr(self, name, whole_number(name, getattr(self, name)))
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("shrink factor gamma must lie in (0, 1]")
         if not 0.0 < self.tol < np.inf:

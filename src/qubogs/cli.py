@@ -22,7 +22,8 @@ import numpy as np
 from .blocksolve import SolveConfig, iterate, iterate_many
 from .encoding import estimate_resources
 from .heatgrid import HeatProblem, assemble_system, grid_to_field, named_boundary
-from .reference import condition_number, direct_solve
+from .linear import LinearSystem
+from .reference import condition_number
 from .samplers import BACKENDS, EXHAUSTIVE_LIMIT, SamplerParams
 from .trace import IterationTrace
 
@@ -235,9 +236,11 @@ def _field_rows(field: np.ndarray, problem: HeatProblem) -> list[list]:
     return rows
 
 
-def _ground_truth(exact: np.ndarray) -> np.ndarray | None:
-    """The exact solution for error tracking, or None when its norm vanishes."""
-    return exact if float(np.linalg.norm(exact)) > 0.0 else None
+def _ground_truth(system: LinearSystem) -> tuple[float, np.ndarray | None]:
+    """kappa of A, and the exact solution (None when its norm vanishes); kappa's SVD is the solve's rank test."""
+    kappa = condition_number(system).kappa
+    exact = np.linalg.solve(system.to_dense(), system.b)
+    return kappa, exact if float(np.linalg.norm(exact)) > 0.0 else None
 
 
 def run_solve(cfg: ExperimentConfig) -> int:
@@ -250,10 +253,8 @@ def run_solve(cfg: ExperimentConfig) -> int:
             )
     os.makedirs(cfg.out_dir, exist_ok=True)
     system = assemble_system(cfg.problem)
-    # the SVD behind kappa is also direct_solve's rank test, so the solve needs no second one
-    kappa = condition_number(system)
-    exact = np.linalg.solve(system.to_dense(), system.b)
-    trace = iterate(system, cfg.solver, exact_solution=_ground_truth(exact))
+    kappa, exact = _ground_truth(system)
+    trace = iterate(system, cfg.solver, exact_solution=exact)
 
     _write_trace(os.path.join(cfg.out_dir, "trace.csv"), trace)
     field = grid_to_field(trace.final_x, cfg.problem)
@@ -273,7 +274,7 @@ def run_solve(cfg: ExperimentConfig) -> int:
         f"residual_is_absolute={str(trace.residual_is_absolute).lower()}",
         f"final_residual={_fmt(float(final.residual))}",
         f"final_relative_error={_fmt(final.relative_error)}",
-        f"kappa={_fmt(kappa.kappa)}",
+        f"kappa={_fmt(kappa)}",
         f"clipped_total={clipped_total}",
     ]
     with open(os.path.join(cfg.out_dir, "summary.txt"), "w", newline="\n") as fh:
@@ -288,7 +289,7 @@ def _combo_name(solver: SolveConfig) -> str:
 def run_sweep(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     system = assemble_system(cfg.problem)
-    exact = _ground_truth(direct_solve(system))
+    _, exact = _ground_truth(system)
 
     combined: list[list] = []
     status: list[str] = []

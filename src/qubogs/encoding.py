@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linear import LinearSystem
+from .linear import LinearSystem, whole_number
 
 
 @dataclass
@@ -41,14 +41,13 @@ class BinaryEncoding:
         self.scale = np.asarray(self.scale, dtype=float)
         self.offset = np.asarray(self.offset, dtype=float)
         for name in ("n", "bits"):
-            value = getattr(self, name)
-            if not 1 <= value < np.inf or int(value) != value:
-                raise ValueError(f"{name} must be an integer >= 1")
-            setattr(self, name, int(value))
+            setattr(self, name, whole_number(name, getattr(self, name)))
         if self.scale.shape != (self.n,) or self.offset.shape != (self.n,):
             raise ValueError(f"scale and offset must be vectors of length {self.n}")
-        if np.any(self.scale <= 0):
-            raise ValueError("all scales must be positive")
+        if not np.all((0.0 < self.scale) & (self.scale < np.inf)):
+            raise ValueError("all scales must be positive and finite")
+        if not np.all(np.isfinite(self.offset)):
+            raise ValueError("all offsets must be finite")
 
     @classmethod
     def uniform(cls, n: int, bits: int, scale: float, offset: float = 0.0) -> "BinaryEncoding":
@@ -116,7 +115,8 @@ def estimate_resources(n: int, bits: int, blocks: int) -> ResourceReport:
     ``connection_reduction`` is the worst-case drop in qubit-pair couplings
     gained by block splitting, (n*R)^2 * (1 - 1/blocks^2).
     """
-    if blocks < 1 or blocks > n:
+    n, bits, blocks = whole_number("n", n), whole_number("bits", bits), whole_number("blocks", blocks)
+    if blocks > n:
         raise ValueError("block count must satisfy 1 <= blocks <= n")
     block_size = -(-n // blocks)
     return ResourceReport(

@@ -96,43 +96,34 @@ class HeatProblem:
         return (j - 1) * (self.m - 1) + (i - 1)
 
 
+def _interior_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices (i, j) of interior rows 0..(m-1)^2-1, the inverse of ``HeatProblem.row_of``."""
+    k = np.arange((m - 1) ** 2)
+    return k % (m - 1) + 1, k // (m - 1) + 1
+
+
 def assemble_system(problem: HeatProblem) -> LinearSystem:
     """Assemble the five-point-stencil system for the interior nodes.
 
     Interior node (i, j) becomes row (j-1)*(m-1) + (i-1) with +4 on the
     diagonal and -1 for each interior neighbor; edge-neighbor temperatures and
-    source strengths accumulate into b.
+    then source strengths accumulate into b.
     """
-    m = problem.m
-    nside = m - 1
-    n = nside * nside
-    entries: list[tuple[int, int, float]] = []  # (row, col, value)
-    b = np.zeros(n)
-    for j in range(1, m):
-        for i in range(1, m):
-            k = problem.row_of(i, j)
-            # neighbors in ascending column order: below, left, center, right, above
-            if j - 1 >= 1:
-                entries.append((k, k - nside, -1.0))
-            else:
-                b[k] += problem.edge_value("bottom", problem.node(i))
-            if i - 1 >= 1:
-                entries.append((k, k - 1, -1.0))
-            else:
-                b[k] += problem.edge_value("left", problem.node(j))
-            entries.append((k, k, 4.0))
-            if i + 1 <= m - 1:
-                entries.append((k, k + 1, -1.0))
-            else:
-                b[k] += problem.edge_value("right", problem.node(j))
-            if j + 1 <= m - 1:
-                entries.append((k, k + nside, -1.0))
-            else:
-                b[k] += problem.edge_value("top", problem.node(i))
-    for i, j, strength in problem.sources:
-        b[problem.row_of(i, j)] += strength
-    rows, cols, vals = zip(*entries)
-    return LinearSystem(n, rows, cols, vals, b)
+    m, nside = problem.m, problem.m - 1
+    i, j = _interior_nodes(m)
+    # the five stencil slots in ascending column order: below, left, center, right, above
+    inside = np.column_stack([j > 1, i > 1, np.ones(problem.n, dtype=bool), i < nside, j < nside])
+    rows, slot = np.nonzero(inside)  # row-major, so sorted by row, then column
+    cols = rows + np.array([-nside, -1, 0, 1, nside])[slot]
+    vals = np.where(slot == 2, 4.0, -1.0)
+    b = np.zeros(problem.n)
+    # edge by edge, so a node next to several edges adds them in stencil order;
+    # each edge's m-1 nodes come in row order, which is their order along the edge
+    for edge, on_edge in (("bottom", j == 1), ("left", i == 1), ("right", i == nside), ("top", j == nside)):
+        b[on_edge] += [problem.edge_value(edge, problem.node(s)) for s in range(1, m)]
+    for si, sj, strength in problem.sources:
+        b[problem.row_of(si, sj)] += strength
+    return LinearSystem(problem.n, rows, cols, vals, b)
 
 
 def grid_to_field(x, problem: HeatProblem) -> np.ndarray:
@@ -152,7 +143,5 @@ def grid_to_field(x, problem: HeatProblem) -> np.ndarray:
     for j in range(1, m):
         field_[0, j] = problem.edge_value("left", problem.node(j))
         field_[m, j] = problem.edge_value("right", problem.node(j))
-    for j in range(1, m):
-        for i in range(1, m):
-            field_[i, j] = x[problem.row_of(i, j)]
+    field_[_interior_nodes(m)] = x
     return field_

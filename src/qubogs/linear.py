@@ -5,6 +5,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def whole_number(name: str, value) -> int:
+    """``value`` as an int; raises ValueError unless it is a whole number >= 1 (so not NaN or inf)."""
+    if not 1 <= value < np.inf or int(value) != value:
+        raise ValueError(f"{name} must be an integer >= 1")
+    return int(value)
+
+
 @dataclass
 class LinearSystem:
     """A square system A x = b with A stored as coordinate arrays.
@@ -38,6 +45,8 @@ class LinearSystem:
             raise ValueError(f"right-hand side must have length {self.n}")
         if not (self.rows.ndim == 1 and self.rows.shape == self.cols.shape == self.vals.shape):
             raise ValueError("rows, cols and vals must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(self.vals)) and np.all(np.isfinite(self.b))):
+            raise ValueError("matrix entries and right-hand side must be finite")
         if self.rows.size == 0:
             return
         if min(self.rows.min(), self.cols.min()) < 0 or max(self.rows.max(), self.cols.max()) >= self.n:

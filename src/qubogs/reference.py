@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linear import LinearSystem
+from .linear import LinearSystem, whole_number
 from .trace import IterationRecord, IterationTrace
 
 
@@ -46,8 +46,9 @@ def classical_gauss_seidel(
     exact_solution=None,
 ) -> IterationTrace:
     """Element-wise Gauss-Seidel from x = 0, tracing residual (and error) per sweep."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tolerance must be finite and positive")
+    max_iters = whole_number("max_iters", max_iters)
     diag = system.diagonal()
     if np.any(diag == 0.0):
         raise ValueError("Gauss-Seidel requires nonzero diagonal entries")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import QuboProblem
+from .linear import whole_number
 
 EXHAUSTIVE_LIMIT = 24  # 2^24 states is still enumerable in seconds
 _CHUNK = 1 << 18
@@ -36,10 +37,7 @@ class SamplerParams:
 
     def __post_init__(self):
         for name in ("num_reads", "sweeps"):
-            value = getattr(self, name)
-            if not 1 <= value < np.inf or int(value) != value:
-                raise ValueError(f"{name} must be an integer >= 1")
-            setattr(self, name, int(value))
+            setattr(self, name, whole_number(name, getattr(self, name)))
         if (self.beta_initial is None) != (self.beta_final is None):
             raise ValueError("set both beta endpoints or neither")
         if self.beta_initial is not None and not 0.0 < self.beta_initial <= self.beta_final < np.inf:

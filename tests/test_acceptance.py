@@ -12,7 +12,7 @@ import pytest
 from conftest import SUITE_SEED
 from corpus_problems import small_corpus
 from qubogs import cli
-from qubogs.blocksolve import SolveConfig, check_convergence_condition, gs_sweep, iterate, partition
+from qubogs.blocksolve import SolveConfig, check_convergence_condition, gs_sweep, iterate, iterate_many, partition
 from qubogs.encoding import BinaryEncoding, encode, estimate_resources
 from qubogs.heatgrid import HeatProblem, assemble_system
 from qubogs.linear import LinearSystem
@@ -77,15 +77,16 @@ def gamma08_run(heat_demo):
 @pytest.fixture(scope="module")
 def sa_shrink_runs(heat_demo):
     _, system, exact = heat_demo
-    traces = []
-    for seed in range(1, 6):
-        cfg = SolveConfig(
+    configs = [
+        SolveConfig(
             blocks=PLATEAU_BLOCKS, bits=3, scale=50.0, offset=0.0, gamma=0.8,
             tol=1e-15, max_iters=30, backend="sa",
             sampler=SamplerParams(num_reads=10, sweeps=40, seed=seed),
         )
-        traces.append(iterate(system, cfg, exact_solution=exact))
-    return traces
+        for seed in range(1, 6)
+    ]
+    # the five seeds share blocks, bits, backend and sweeps, so they anneal in lockstep
+    return iterate_many(system, configs, exact_solution=exact)
 
 
 @pytest.fixture(scope="module")

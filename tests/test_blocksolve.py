@@ -44,6 +44,10 @@ class TestPartition:
             partition(4, 0)
         with pytest.raises(ValueError):
             partition(4, 5)
+        for bad in (2.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="blocks"):
+                partition(9, bad)
+        assert partition(9, 3.0).blocks == [(0, 3), (3, 6), (6, 9)]
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):

@@ -150,6 +150,12 @@ class TestResources:
             estimate_resources(10, 3, 0)
         with pytest.raises(ValueError):
             estimate_resources(10, 3, 11)
+        # counts are whole numbers: a fractional bit count must not give fractional qubits
+        for args, key in [((9, 2.5, 3), "bits"), ((9.5, 2, 3), "n"), ((9, 2, 2.5), "blocks"), ((9, np.nan, 3), "bits")]:
+            with pytest.raises(ValueError, match=key):
+                estimate_resources(*args)
+        report = estimate_resources(9.0, np.int64(2), 3.0)
+        assert report.per_block_qubits == 6 and type(report.per_block_qubits) is int
 
 
 class TestEncode:
@@ -268,3 +274,8 @@ class TestQuboProblemValidation:
                 BinaryEncoding(n, bits, np.ones(2), np.zeros(2))
         enc = BinaryEncoding(2.0, np.int64(3), np.ones(2), np.zeros(2))
         assert (enc.n, enc.bits) == (2, 3) and type(enc.n) is int and type(enc.bits) is int
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="scales"):
+                BinaryEncoding(2, 2, np.array([1.0, bad]), np.zeros(2))
+            with pytest.raises(ValueError, match="offsets"):
+                BinaryEncoding(2, 2, np.ones(2), np.array([bad, 0.0]))

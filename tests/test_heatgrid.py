@@ -1,9 +1,77 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from qubogs.heatgrid import HeatProblem, assemble_system, boundary_temperature, grid_to_field, named_boundary
+from qubogs.linear import LinearSystem
 from qubogs.reference import direct_solve
+
+
+def loop_assemble_system(problem):
+    """Node-by-node five-point assembly: the oracle for the array version."""
+    m = problem.m
+    nside = m - 1
+    n = nside * nside
+    entries = []  # (row, col, value)
+    b = np.zeros(n)
+    for j in range(1, m):
+        for i in range(1, m):
+            k = problem.row_of(i, j)
+            # neighbors in ascending column order: below, left, center, right, above
+            if j - 1 >= 1:
+                entries.append((k, k - nside, -1.0))
+            else:
+                b[k] += problem.edge_value("bottom", problem.node(i))
+            if i - 1 >= 1:
+                entries.append((k, k - 1, -1.0))
+            else:
+                b[k] += problem.edge_value("left", problem.node(j))
+            entries.append((k, k, 4.0))
+            if i + 1 <= m - 1:
+                entries.append((k, k + 1, -1.0))
+            else:
+                b[k] += problem.edge_value("right", problem.node(j))
+            if j + 1 <= m - 1:
+                entries.append((k, k + nside, -1.0))
+            else:
+                b[k] += problem.edge_value("top", problem.node(i))
+    for i, j, strength in problem.sources:
+        b[problem.row_of(i, j)] += strength
+    rows, cols, vals = zip(*entries)
+    return LinearSystem(n, rows, cols, vals, b)
+
+
+def loop_grid_to_field(x, problem):
+    """Node-by-node field expansion: the oracle for the array version."""
+    m = problem.m
+    field_ = np.zeros((m + 1, m + 1))
+    for i in range(m + 1):
+        field_[i, 0] = problem.edge_value("bottom", problem.node(i))
+        field_[i, m] = problem.edge_value("top", problem.node(i))
+    for j in range(1, m):
+        field_[0, j] = problem.edge_value("left", problem.node(j))
+        field_[m, j] = problem.edge_value("right", problem.node(j))
+    for j in range(1, m):
+        for i in range(1, m):
+            field_[i, j] = x[problem.row_of(i, j)]
+    return field_
+
+
+# four different non-constant edges with inexact values, so the order of b's additions shows in its rounding
+CUSTOM_BOUNDARY = {
+    "bottom": lambda s: math.sin(3.0 * s) + 0.1,
+    "left": lambda s: s * s - 1.0 / 3.0,
+    "right": lambda s: 7.0 * s + 0.7,
+    "top": lambda s: math.exp(s) / 3.0,
+}
+BOUNDARIES = {
+    "default": lambda length: None,
+    "ramp": lambda length: named_boundary("ramp", length),
+    "zero": lambda length: named_boundary("zero", length),
+    "custom": lambda length: CUSTOM_BOUNDARY,
+}
 
 
 def bilinear_exact(problem):
@@ -175,3 +243,24 @@ def test_grid_to_field_length_mismatch(heat_demo):
     problem, _, _ = heat_demo
     with pytest.raises(ValueError):
         grid_to_field(np.zeros(5), problem)
+
+
+@pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
+def test_array_assembly_matches_loop_oracle(boundary):
+    # 30 sizes x 2 source lists per boundary kind; m=2 has one node beside all four edges
+    rng = np.random.default_rng(2024)
+    for m in range(2, 32):
+        length = (1.0, 0.7, 2.5)[m % 3]
+        profiles = BOUNDARIES[boundary](length)
+        for count in (m % 5, 4 - m % 5):
+            nodes = rng.integers(1, m, size=(count, 2))
+            nodes[::2, 0] = 1  # every other source next to the left edge
+            nodes[1::4, 1] = m - 1  # some next to the top edge
+            # the first node repeats, so one row takes two sources in list order
+            sources = [(int(i), int(j), float(rng.uniform(-30.0, 30.0))) for i, j in [*nodes, *nodes[:1]]]
+            problem = HeatProblem(m, length, profiles, sources)
+            got, want = assemble_system(problem), loop_assemble_system(problem)
+            for name in ("rows", "cols", "vals", "b"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (m, count, name)
+            x = rng.uniform(-100.0, 100.0, problem.n)
+            assert np.array_equal(grid_to_field(x, problem), loop_grid_to_field(x, problem)), (m, count)

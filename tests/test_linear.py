@@ -56,6 +56,14 @@ def test_validation():
         LinearSystem.from_dense(np.zeros((2, 3)), np.zeros(2))  # not square
     with pytest.raises(ValueError):
         LinearSystem(2, *ok, np.zeros(2)).matvec(np.zeros(3))
+    # a non-finite entry would only surface later, as NaN residuals or a failed SVD
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LinearSystem.from_dense([[2.0, 0.0], [0.0, 2.0]], [1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            LinearSystem.from_dense([[2.0, bad], [0.0, 2.0]], [1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            LinearSystem(2, [0, 1], [0, 1], [1.0, bad], np.zeros(2))
 
 
 def loop_rows(a: np.ndarray) -> list[list[tuple[int, float]]]:

@@ -80,6 +80,18 @@ def test_classical_gs_heat_convergence(heat_demo):
     assert np.all(np.diff(trace.residuals) <= 0)
 
 
+def test_classical_gs_validation(demo_2x2):
+    system, _ = demo_2x2
+    # a NaN tolerance is never met, so it would run every iteration and report no error
+    for tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            classical_gauss_seidel(system, tol=tol, max_iters=30)
+    for max_iters in (0, 2.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="max_iters"):
+            classical_gauss_seidel(system, max_iters=max_iters)
+    assert len(classical_gauss_seidel(system, tol=1e-15, max_iters=3.0)) == 3
+
+
 def test_classical_gs_zero_diagonal():
     with pytest.raises(ValueError):
         classical_gauss_seidel(LinearSystem.from_dense([[0.0, 1.0], [1.0, 1.0]], [1.0, 1.0]))
