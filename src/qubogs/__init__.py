@@ -5,6 +5,7 @@ from .blocksolve import (
     ConvergenceReport,
     SolveConfig,
     check_convergence_condition,
+    classical_gauss_seidel,
     gs_sweep,
     iterate,
     iterate_many,
@@ -26,7 +27,6 @@ from .linear import LinearSystem
 from .reference import (
     ConditionEstimate,
     SingularMatrixError,
-    classical_gauss_seidel,
     condition_number,
     direct_solve,
     relative_error,

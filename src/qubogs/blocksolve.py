@@ -107,8 +107,7 @@ def shrink_encoding(initial: BinaryEncoding, x_center, gamma: float, k: int) -> 
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("shrink factor gamma must lie in (0, 1]")
-    if k < 1:
-        raise ValueError("iteration counter k starts at 1")
+    k = whole_number("k", k)
     x_center = np.asarray(x_center, dtype=float)
     half = initial.scale * gamma ** (k - 1)
     return BinaryEncoding(initial.n, initial.bits, half, half - x_center)
@@ -165,6 +164,16 @@ def iterate(system: LinearSystem, config: SolveConfig, exact_solution=None, x0=N
     trace, not raised.
     """
     return iterate_many(system, [config], exact_solution, x0)[0]
+
+
+def classical_gauss_seidel(
+    system: LinearSystem, tol: float = 1e-10, max_iters: int = 1000, exact_solution=None
+) -> IterationTrace:
+    """Element-wise Gauss-Seidel from x = 0: block Gauss-Seidel with one-unknown blocks.
+
+    A zero diagonal entry fails the 1x1 rank test with SingularMatrixError.
+    """
+    return iterate(system, SolveConfig(blocks=system.n, tol=tol, max_iters=max_iters, backend="exact"), exact_solution)
 
 
 def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solution=None, x0=None) -> list[IterationTrace]:

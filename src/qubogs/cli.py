@@ -338,6 +338,8 @@ def _read_field_csv(path: str) -> np.ndarray:
             raise ConfigError("field", f"malformed row {line!r}") from None
         if not math.isfinite(t):
             raise ConfigError("field", f"non-finite temperature in row {line!r}")
+        if (i, j) in entries:
+            raise ConfigError("field", f"repeated node in row {line!r}")
         entries[(i, j)] = t
     if not entries:
         raise ConfigError("field", "no data rows")

@@ -88,8 +88,8 @@ def decode(bits_values, enc: BinaryEncoding) -> np.ndarray:
 
 def required_bits(scale: float, accuracy: float) -> int:
     """Smallest R with interval-length / 2^R = 2c/2^R <= accuracy (at least 1)."""
-    if scale <= 0 or accuracy <= 0:
-        raise ValueError("scale and accuracy must be positive")
+    if not (0.0 < scale < np.inf and 0.0 < accuracy < np.inf):
+        raise ValueError("scale and accuracy must be finite and positive")
     r = max(1, math.ceil(math.log2(2.0 * scale / accuracy)))
     # guard the float log against edge-of-power-of-two rounding
     while 2.0 * scale / 2.0**r > accuracy:
@@ -156,10 +156,6 @@ class QuboProblem:
             raise ValueError("pair matrix must be symmetric")
         if np.any(np.diag(self.quadratic) != 0.0):
             raise ValueError("pair matrix must have a zero diagonal")
-
-    def pair_matrix(self) -> np.ndarray:
-        """Symmetric matrix W with W[l, k] = W[k, l] = coefficient of q_l q_k, zero diagonal."""
-        return self.quadratic
 
 
 def encode(system: LinearSystem, enc: BinaryEncoding) -> QuboProblem:

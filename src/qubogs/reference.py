@@ -1,11 +1,10 @@
-"""Classical ground-truth solvers: direct elimination, point Gauss-Seidel, condition number."""
+"""Classical ground-truth solvers: direct elimination, condition number."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linear import LinearSystem, whole_number
-from .trace import IterationRecord, IterationTrace
+from .linear import LinearSystem
 
 
 class SingularMatrixError(ValueError):
@@ -37,46 +36,6 @@ def solve_dense(a, b) -> np.ndarray:
 def direct_solve(system: LinearSystem) -> np.ndarray:
     """Exact solution of the system (dense elimination; raises SingularMatrixError)."""
     return solve_dense(system.to_dense(), system.b)
-
-
-def classical_gauss_seidel(
-    system: LinearSystem,
-    tol: float = 1e-10,
-    max_iters: int = 1000,
-    exact_solution=None,
-) -> IterationTrace:
-    """Element-wise Gauss-Seidel from x = 0, tracing residual (and error) per sweep."""
-    if not 0.0 < tol < np.inf:
-        raise ValueError("tolerance must be finite and positive")
-    max_iters = whole_number("max_iters", max_iters)
-    diag = system.diagonal()
-    if np.any(diag == 0.0):
-        raise ValueError("Gauss-Seidel requires nonzero diagonal entries")
-    b = system.b
-    b_norm = float(np.linalg.norm(b))
-    is_absolute = b_norm == 0.0
-    denom = 1.0 if is_absolute else b_norm
-    starts = np.searchsorted(system.rows, np.arange(system.n + 1)).tolist()  # row i: entries starts[i]:starts[i+1]
-    cols, vals = system.cols.tolist(), system.vals.tolist()
-    x = np.zeros(system.n)
-    records = []
-    converged = False
-    for k in range(1, max_iters + 1):
-        for i in range(system.n):
-            s = 0.0
-            for e in range(starts[i], starts[i + 1]):
-                if cols[e] != i:
-                    s += vals[e] * x[cols[e]]
-            x[i] = (b[i] - s) / diag[i]
-        r = float(np.linalg.norm(system.matvec(x) - b)) / denom
-        err = None
-        if exact_solution is not None:
-            err = relative_error(x, exact_solution)
-        records.append(IterationRecord(k=k, x=x.copy(), residual=r, relative_error=err))
-        if r <= tol:
-            converged = True
-            break
-    return IterationTrace(records, converged, residual_is_absolute=is_absolute)
 
 
 def relative_error(x, x_exact) -> float:

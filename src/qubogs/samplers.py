@@ -105,7 +105,7 @@ def solve_exhaustive(problem: QuboProblem) -> SampleSet:
     size = problem.size
     if size > EXHAUSTIVE_LIMIT:
         raise ValueError(f"problem has {size} binary variables, exhaustive limit is {EXHAUSTIVE_LIMIT}")
-    w = problem.pair_matrix()
+    w = problem.quadratic
     best_energy = np.inf
     best_state = 0
     total = 1 << size
@@ -142,7 +142,7 @@ def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleS
     for problem, params in runs:
         run_rngs = [np.random.default_rng((params.seed, read)) for read in range(params.num_reads)]
         run_q = np.stack([rng.integers(0, 2, size=size).astype(float) for rng in run_rngs])
-        w = problem.pair_matrix()
+        w = problem.quadratic
         rngs += run_rngs
         q.append(run_q)
         # per-bit flip drive, maintained incrementally; one matmul per run rounds as a lone run does

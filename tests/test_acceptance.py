@@ -12,11 +12,19 @@ import pytest
 from conftest import SUITE_SEED
 from corpus_problems import small_corpus
 from qubogs import cli
-from qubogs.blocksolve import SolveConfig, check_convergence_condition, gs_sweep, iterate, iterate_many, partition
+from qubogs.blocksolve import (
+    SolveConfig,
+    check_convergence_condition,
+    classical_gauss_seidel,
+    gs_sweep,
+    iterate,
+    iterate_many,
+    partition,
+)
 from qubogs.encoding import BinaryEncoding, encode, estimate_resources
 from qubogs.heatgrid import HeatProblem, assemble_system
 from qubogs.linear import LinearSystem
-from qubogs.reference import classical_gauss_seidel, condition_number, direct_solve
+from qubogs.reference import condition_number, direct_solve
 from qubogs.samplers import SamplerParams, energy, solve_exhaustive, solve_sa
 
 PLATEAU_BLOCKS = 27  # 3-variable blocks keep exhaustive block minima enumerable (9 bits)
@@ -107,7 +115,7 @@ def test_criterion_01_energy_identity():
         enc = BinaryEncoding(n, bits, rng.uniform(0.5, 2.0, n), rng.uniform(-1.0, 1.0, n))
         qubo = encode(LinearSystem.from_dense(a, b), enc)
         bmat = all_bitstrings(n * bits)
-        w = qubo.pair_matrix()
+        w = qubo.quadratic
         energies = bmat @ qubo.linear + 0.5 * np.einsum("si,si->s", bmat @ w, bmat)
         weights = 2.0 ** -np.arange(bits)
         xs = bmat.reshape(-1, n, bits) @ weights * enc.scale - enc.offset

@@ -8,6 +8,7 @@ from qubogs.blocksolve import (
     BlockPartition,
     SolveConfig,
     check_convergence_condition,
+    classical_gauss_seidel,
     gs_sweep,
     iterate,
     iterate_many,
@@ -16,14 +17,55 @@ from qubogs.blocksolve import (
     shrink_encoding,
 )
 from qubogs.encoding import BinaryEncoding
-from qubogs.heatgrid import HeatProblem, assemble_system
-from qubogs.linear import LinearSystem
-from qubogs.reference import classical_gauss_seidel, condition_number, direct_solve
+from qubogs.heatgrid import HeatProblem, assemble_system, named_boundary
+from qubogs.linear import LinearSystem, whole_number
+from qubogs.reference import condition_number, direct_solve, relative_error
 from qubogs.samplers import SamplerParams, solve_exhaustive
+from qubogs.trace import IterationRecord, IterationTrace
 
 
 def exact_block_solver(sub, lo, hi):
     return direct_solve(sub)
+
+
+def loop_gauss_seidel(
+    system: LinearSystem,
+    tol: float = 1e-10,
+    max_iters: int = 1000,
+    exact_solution=None,
+) -> IterationTrace:
+    """Element-wise Gauss-Seidel from x = 0 as a per-entry loop: the oracle for ``classical_gauss_seidel``."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tolerance must be finite and positive")
+    max_iters = whole_number("max_iters", max_iters)
+    diag = system.diagonal()
+    if np.any(diag == 0.0):
+        raise ValueError("Gauss-Seidel requires nonzero diagonal entries")
+    b = system.b
+    b_norm = float(np.linalg.norm(b))
+    is_absolute = b_norm == 0.0
+    denom = 1.0 if is_absolute else b_norm
+    starts = np.searchsorted(system.rows, np.arange(system.n + 1)).tolist()  # row i: entries starts[i]:starts[i+1]
+    cols, vals = system.cols.tolist(), system.vals.tolist()
+    x = np.zeros(system.n)
+    records = []
+    converged = False
+    for k in range(1, max_iters + 1):
+        for i in range(system.n):
+            s = 0.0
+            for e in range(starts[i], starts[i + 1]):
+                if cols[e] != i:
+                    s += vals[e] * x[cols[e]]
+            x[i] = (b[i] - s) / diag[i]
+        r = float(np.linalg.norm(system.matvec(x) - b)) / denom
+        err = None
+        if exact_solution is not None:
+            err = relative_error(x, exact_solution)
+        records.append(IterationRecord(k=k, x=x.copy(), residual=r, relative_error=err))
+        if r <= tol:
+            converged = True
+            break
+    return IterationTrace(records, converged, residual_is_absolute=is_absolute)
 
 
 class TestPartition:
@@ -139,6 +181,9 @@ class TestShrink:
             shrink_encoding(enc, np.zeros(1), 0.0, 1)
         with pytest.raises(ValueError):
             shrink_encoding(enc, np.zeros(1), 0.8, 0)
+        for gamma, k in ((0.5, 2.5), (1.0, np.inf), (0.8, np.nan)):
+            with pytest.raises(ValueError, match="k must be"):
+                shrink_encoding(enc, np.zeros(1), gamma, k)
 
 
 class TestIterateExact:
@@ -198,15 +243,33 @@ class TestIterateExact:
         assert trace.converged and len(trace) == 1
 
     def test_matches_classical_gs_when_blocks_are_points(self):
-        system = assemble_system(HeatProblem(6))
-        exact = direct_solve(system)
-        cfg = SolveConfig(blocks=system.n, tol=1e-8, max_iters=150, backend="exact")
-        block_trace = iterate(system, cfg, exact_solution=exact)
-        point_trace = classical_gauss_seidel(system, tol=1e-8, max_iters=150, exact_solution=exact)
-        assert len(block_trace) == len(point_trace)
-        for a, b in zip(block_trace.records, point_trace.records):
-            assert a.residual == b.residual
-            assert np.array_equal(a.x, b.x)
+        # (system, exact solution) pairs: sourced plates, a zero right-hand side, and
+        # random strictly diagonally dominant systems, which Gauss-Seidel solves
+        rng = np.random.default_rng(12)
+        cases = []
+        for m in range(2, 12):
+            system = assemble_system(HeatProblem(m, sources=[(m // 2, 1, 25.0)]))
+            cases.append((system, direct_solve(system)))
+        cases.append((assemble_system(HeatProblem(5, boundary=named_boundary("zero", 1.0))), None))
+        for _ in range(60):
+            n = int(rng.integers(1, 12))
+            a = np.where(rng.random((n, n)) < 0.4, rng.uniform(-2.0, 2.0, (n, n)), 0.0)
+            np.fill_diagonal(a, 0.0)
+            signs = rng.choice([-1.0, 1.0], n)
+            np.fill_diagonal(a, signs * (np.abs(a).sum(axis=1) + rng.uniform(0.1, 2.0, n)))
+            system = LinearSystem.from_dense(a, rng.uniform(-10.0, 10.0, n))
+            cases.append((system, direct_solve(system)))
+        for system, exact in cases:
+            for tol, max_iters in ((1e-10, 1000), (1e-3, 4)):
+                block_trace = classical_gauss_seidel(system, tol, max_iters, exact)
+                loop_trace = loop_gauss_seidel(system, tol, max_iters, exact)
+                assert (block_trace.converged, block_trace.residual_is_absolute) == (
+                    loop_trace.converged, loop_trace.residual_is_absolute
+                )
+                assert len(block_trace) == len(loop_trace)
+                for a, b in zip(block_trace.records, loop_trace.records):
+                    assert (a.k, a.residual, a.relative_error) == (b.k, b.residual, b.relative_error)
+                    assert np.array_equal(a.x, b.x)
 
     def test_error_residual_bound(self, heat_demo):
         _, system, exact = heat_demo

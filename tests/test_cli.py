@@ -361,6 +361,13 @@ def test_render_rejects_malformed(tmp_path, capsys):
     assert cli.main(["render", str(holes), str(tmp_path / "y.pgm")]) == 1
     capsys.readouterr()
 
+    # a complete 2x2 grid that lists (1,1) twice; the later value used to win silently
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("i,j,x,y,T\n0,0,0.0,0.0,1.0\n0,1,0.0,1.0,2.0\n1,0,1.0,0.0,3.0\n1,1,1.0,1.0,4.0\n1,1,1.0,1.0,5.0\n")
+    assert cli.main(["render", str(repeated), str(tmp_path / "r.pgm")]) == 1
+    assert "config error in field: repeated node" in capsys.readouterr().err
+    assert not (tmp_path / "r.pgm").exists()
+
     for cell in ("nan", "inf"):
         nonfinite = tmp_path / f"{cell}.csv"
         nonfinite.write_text(f"i,j,x,y,T\n0,0,0.0,0.0,1.0\n0,1,0.0,1.0,{cell}\n1,0,1.0,0.0,2.0\n1,1,1.0,1.0,3.0\n")

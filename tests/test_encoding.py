@@ -67,7 +67,7 @@ def assert_matches_loop_encode(system: LinearSystem, enc: BinaryEncoding):
     qubo = encode(system, enc)
     linear, pairs, offset = loop_encode(system, enc)
     assert np.array_equal(qubo.linear, linear)
-    assert np.array_equal(qubo.pair_matrix(), pairs)
+    assert np.array_equal(qubo.quadratic, pairs)
     assert qubo.offset == offset
 
 
@@ -127,6 +127,10 @@ class TestRequiredBits:
             required_bits(0.0, 1.0)
         with pytest.raises(ValueError):
             required_bits(1.0, 0.0)
+        # non-finite values used to reach math.ceil/log2 and fail with their errors
+        for scale, accuracy in ((np.inf, 1.0), (np.nan, 1.0), (1.0, np.inf), (1.0, np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                required_bits(scale, accuracy)
 
 
 class TestResources:
@@ -164,7 +168,7 @@ class TestEncode:
         qubo = encode(system, BinaryEncoding.uniform(1, 1, 1.0, 0.0))
         # raw linear -2 plus the folded same-bit square +1
         assert_allclose(qubo.linear, [-1.0])
-        assert np.array_equal(qubo.pair_matrix(), np.zeros((1, 1)))
+        assert np.array_equal(qubo.quadratic, np.zeros((1, 1)))
         assert qubo.offset == 1.0
         assert energy(qubo, [1]) == -1.0
 
@@ -200,7 +204,7 @@ class TestEncode:
 
     def test_pair_matrix_symmetric_with_zero_diagonal(self):
         system = LinearSystem.from_dense([[1.0, 0.5], [0.5, 2.0]], [1.0, -1.0])
-        w = encode(system, BinaryEncoding.uniform(2, 2, 1.0, 0.0)).pair_matrix()
+        w = encode(system, BinaryEncoding.uniform(2, 2, 1.0, 0.0)).quadratic
         assert w.shape == (4, 4)
         assert np.array_equal(w, w.T)
         assert np.all(np.diag(w) == 0.0)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qubogs.blocksolve import classical_gauss_seidel
 from qubogs.linear import LinearSystem
 from qubogs.reference import (
     SingularMatrixError,
-    classical_gauss_seidel,
     condition_number,
     direct_solve,
     relative_error,
