@@ -5,8 +5,13 @@ Two built-in backends share the sampler interface
 problems) and seeded single-spin-flip simulated annealing. Anything callable
 with that signature can serve as a backend for the block solver, which is the
 attachment point for real annealer clients.
+
+The annealing kernel, ``solve_sa_many``, anneals the reads of several runs at
+once on spins ``s = 1 - 2q`` held bits-major, and gives bit for bit the samples
+of a per-read Metropolis loop; its docstring gives the exactness argument.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +21,7 @@ from .linear import whole_number
 
 EXHAUSTIVE_LIMIT = 24  # 2^24 states is still enumerable in seconds
 _CHUNK = 1 << 18
+_CACHED_BITS = 12  # scans up to 4,096 x 12 bits reuse one bit matrix (384 KiB) instead of allocating it per scan
 
 
 @dataclass
@@ -96,6 +102,14 @@ def _bit_matrix(states: np.ndarray, size: int) -> np.ndarray:
     return ((states[:, None] >> shifts[None, :]) & 1).astype(float)
 
 
+@functools.cache
+def _all_bit_rows(size: int) -> np.ndarray:
+    """Every bitstring of ``size`` bits in ascending order, built once per size and read-only."""
+    bmat = _bit_matrix(np.arange(1 << size, dtype=np.int64), size)
+    bmat.flags.writeable = False
+    return bmat
+
+
 def solve_exhaustive(problem: QuboProblem) -> SampleSet:
     """Scan every bitstring and return the global minimum (deterministic).
 
@@ -111,7 +125,7 @@ def solve_exhaustive(problem: QuboProblem) -> SampleSet:
     total = 1 << size
     for start in range(0, total, _CHUNK):
         states = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        bmat = _bit_matrix(states, size)
+        bmat = _all_bit_rows(size)[start : start + states.size] if size <= _CACHED_BITS else _bit_matrix(states, size)
         energies = bmat @ problem.linear + 0.5 * np.einsum("si,si->s", bmat @ w, bmat)
         i = int(np.argmin(energies))
         if energies[i] < best_energy:
@@ -134,6 +148,17 @@ def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleS
     run's result is a pure function of its (problem, params), whatever else
     shares the call. Duplicate final bitstrings of a run aggregate into one
     sample with summed occurrences.
+
+    The kernel keeps spins ``s = 1 - 2q`` rather than bits, stored bits-major:
+    ``s``, the fields, the draws and the pair rows are ``(bit, read)`` and
+    ``(bit, j, read)`` arrays, so each per-bit step works on contiguous rows of
+    preallocated buffers. It is exact against a per-read Metropolis loop:
+    multiplying by +-1 is exact, so ``(s * -beta) * field`` rounds as
+    ``-beta * (s * field)`` does, and a sweep's signs are flipped once at its
+    end because bit l's sign is read only on bit l's own turn. A read that
+    keeps its bit adds a zero of either sign to the fields, which changes no
+    nonzero sum. ``exp`` may overflow to inf only where ``-beta * dE > 709``,
+    a move accepted whatever the draw.
     """
     size, sweeps = runs[0][0].size, runs[0][1].sweeps
     if any(problem.size != size or params.sweeps != sweeps for problem, params in runs):
@@ -146,34 +171,40 @@ def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleS
         rngs += run_rngs
         q.append(run_q)
         # per-bit flip drive, maintained incrementally; one matmul per run rounds as a lone run does
-        fields.append(problem.linear[None, :] + run_q @ w)
+        fields.append((problem.linear[None, :] + run_q @ w).T)
         beta_lo, beta_hi = (params.beta_initial, params.beta_final)
         if beta_lo is None:
             beta_lo, beta_hi = default_beta_range(problem)
         schedule = beta_lo * (beta_hi / beta_lo) ** (np.arange(sweeps) / max(sweeps - 1, 1))
         betas.append(np.broadcast_to(schedule[:, None], (sweeps, params.num_reads)))
-        w_rows.append(np.broadcast_to(w[:, None, :], (size, params.num_reads, size)))
-    q, fields = np.concatenate(q), np.concatenate(fields)
+        w_rows.append(np.broadcast_to(w[:, :, None], (size, size, params.num_reads)))
+    s = 1.0 - 2.0 * np.concatenate(q, axis=0).T  # (bit, read)
+    fields = np.concatenate(fields, axis=1)
     neg_betas = -np.concatenate(betas, axis=1)  # (sweep, read)
-    w_rows = np.concatenate(w_rows, axis=1)  # w_rows[l] holds row l of each read's pair matrix
+    w_rows = np.concatenate(w_rows, axis=2)  # w_rows[l] holds row l of each read's pair matrix
+    signed_betas, flips = np.empty_like(s), np.empty(s.shape, dtype=bool)
+    arg, d, update = np.empty(len(rngs)), np.empty(len(rngs)), np.empty_like(fields)
+    rows = list(zip(signed_betas, fields, flips, s, w_rows))
 
     # acceptance draws come in sweep blocks to bound memory; within each read
     # the draw order is fixed, so blocking does not change the stream
-    for block_start in range(0, sweeps, _SWEEP_BLOCK):
-        block = min(_SWEEP_BLOCK, sweeps - block_start)
-        accepts = np.stack([rng.random((block, size)) for rng in rngs])
-        for t in range(block):
-            neg_beta = neg_betas[block_start + t]
-            acc_t = accepts[:, t, :]
-            for l in range(size):
-                # accept when exp(-beta*dE) beats the draw; dE <= 0 always passes.
-                # Reads that keep their bit add +-0.0, which changes no comparison.
-                sign = 1.0 - 2.0 * q[:, l]
-                delta = sign * fields[:, l]
-                flip = acc_t[:, l] < np.exp(np.minimum(neg_beta * delta, 50.0))
-                d = np.where(flip, sign, 0.0)
-                q[:, l] += d
-                fields += d[:, None] * w_rows[l]
+    with np.errstate(over="ignore"):
+        for block_start in range(0, sweeps, _SWEEP_BLOCK):
+            block = min(_SWEEP_BLOCK, sweeps - block_start)
+            accepts = np.stack([rng.random((block, size)) for rng in rngs], axis=2)  # (sweep, bit, read)
+            for t in range(block):
+                np.multiply(s, neg_betas[block_start + t], out=signed_betas)
+                for acc, (signed_beta, field, flip, sign, w_row) in zip(accepts[t], rows):
+                    # accept when exp(-beta*dE) beats the draw; dE <= 0 always passes.
+                    # A positional output buffer costs less per call than out=.
+                    np.multiply(signed_beta, field, arg)
+                    np.exp(arg, arg)
+                    np.less(acc, arg, flip)
+                    np.multiply(sign, flip, d)
+                    np.multiply(w_row, d, update)
+                    np.add(fields, update, fields)
+                np.negative(s, out=s, where=flips)
+    q = ((1.0 - s) / 2.0).T
 
     results = []
     stop = 0
@@ -184,8 +215,9 @@ def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleS
             noise = np.stack([rng.random(size) for rng in rngs[start:stop]])
             run_q = np.where(noise < params.noise_p, 1.0 - run_q, run_q)
         distinct, counts = np.unique(run_q, axis=0, return_counts=True)
-        samples = [Sample(tuple(int(b) for b in row), energy(problem, row), int(occ)) for row, occ in zip(distinct, counts)]
-        samples.sort(key=lambda s: (s.energy, s.bits))
+        bit_rows = distinct.astype(np.int64).tolist()
+        samples = [Sample(tuple(bits), energy(problem, row), occ) for row, bits, occ in zip(distinct, bit_rows, counts.tolist())]
+        samples.sort(key=lambda sample: (sample.energy, sample.bits))
         results.append(SampleSet(samples))
     return results
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -269,7 +271,7 @@ def random_qubo(rng, size: int) -> QuboProblem:
 
 
 class TestLoopSaOracle:
-    """The masked single-flip kernel and np.unique tally reproduce the loop annealer exactly."""
+    """The sign kernel and np.unique tally reproduce the loop annealer exactly."""
 
     def test_small_corpus(self):
         for i, (name, prob) in enumerate(small_corpus()):
@@ -312,3 +314,27 @@ class TestLoopSaOracle:
                 for _ in range(1 + i % 4)
             ]
             assert solve_sa_many(runs) == [loop_solve_sa(*run) for run in runs], f"group {i} with {[p for _, p in runs]}"
+
+    def test_extreme_betas(self):
+        # coefficients up to 1e3 under betas 0.5..50 push -beta*dE past the loop's clamp at 50
+        # and past 709, where exp overflows; the suite turns an overflow warning into an error
+        rng = np.random.default_rng(709)
+        runs = []
+        for seed in range(3):
+            scales = 10.0 ** rng.integers(-1, 4, 12)
+            upper = np.triu(rng.uniform(-1.0, 1.0, (12, 12)) * np.sqrt(np.outer(scales, scales)), 1)
+            problem = QuboProblem(12, rng.uniform(-1.0, 1.0, 12) * scales, upper + upper.T, 0.0)
+            runs.append((problem, SamplerParams(16, 40, 0.5, 50.0, seed)))
+        assert solve_sa_many(runs) == [loop_solve_sa(*run) for run in runs]
+
+
+def test_sa_many_leaves_inputs_unchanged():
+    rng = np.random.default_rng(31)
+    # 40 sweeps each; 15, 15 and 64 reads; the second adds readout noise, the third explicit betas
+    runs = [(random_qubo(rng, 9), oracle_params(i, i)) for i in (4, 13, 25)]
+    before = [(problem.linear.copy(), problem.quadratic.copy(), dataclasses.replace(params)) for problem, params in runs]
+    first = solve_sa_many(runs)
+    for (problem, params), (linear, quadratic, params_before) in zip(runs, before):
+        assert np.array_equal(problem.linear, linear) and np.array_equal(problem.quadratic, quadratic)
+        assert params == params_before
+    assert solve_sa_many(runs) == first
