@@ -8,6 +8,13 @@ once per solve; a sweep only recomputes each block's right-hand side. A block
 is solved either exactly (one dense matrix per block, rank-tested once) or by
 encoding it as a QUBO, sampling with a backend, and decoding the best sample.
 
+The block solves run on a wavefront schedule (Lamport's hyperplane method):
+solve (k, p) runs at step c*k + o_p, so blocks that do not couple are solved
+together, across iterations and across the runs of a lockstep batch. It uses
+the values a sweep in block order would, because o_q < o_p and o_p - o_q < c
+for every coupled q < p (``iterate_many`` defines o_p and c). A run that stops
+drops the speculative solves it started for later iterations.
+
 With a shrink factor below one, every variable's representable interval is
 re-centered on its latest estimate after each sweep and its half-width decays
 geometrically: iteration k works inside [x_i - c_i*g^(k-1), x_i + c_i*g^(k-1)),
@@ -16,6 +23,8 @@ solution inside the window. Decoded block solutions that saturate an interval
 end are flagged as clipped rather than silently accepted.
 """
 
+import itertools
+from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -176,13 +185,33 @@ def classical_gauss_seidel(
     return iterate(system, SolveConfig(blocks=system.n, tol=tol, max_iters=max_iters, backend="exact"), exact_solution)
 
 
+def _wavefront(splits) -> tuple[list[int], int]:
+    """Step offsets o_p and period c of the wavefront schedule that ``iterate_many`` runs."""
+    his = [hi for _, hi, _, _ in splits]
+    coupled = np.zeros((len(his), len(his)), dtype=bool)
+    for p, (_, _, _, (_, cols, _)) in enumerate(splits):
+        coupled[p, np.searchsorted(his, cols, side="right")] = True
+    coupled |= coupled.T
+    offsets: list[int] = []
+    for p in range(len(his)):
+        offsets.append(1 + max((offsets[q] for q in np.flatnonzero(coupled[p, :p])), default=-1))
+    return offsets, 1 + int(np.abs(np.subtract.outer(offsets, offsets))[coupled].max(initial=0))
+
+
 def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solution=None, x0=None) -> list[IterationTrace]:
     """Run ``iterate`` for every config in lockstep; each trace equals that config's own run.
 
-    The configs must share blocks, bits, backend and sweeps. At each block,
-    every unfinished run builds its own QUBO and the SA backend samples them
-    all in one call; other backends are called once per run. A run drops out
-    once it converges or reaches its ``max_iters``.
+    The configs must share blocks, bits, backend and sweeps. Blocks p and q
+    couple when either has an off-block entry in the other's columns. Offset
+    o_p is 1 + max o_q over coupled q < p (0 without one), the period c is
+    1 + max |o_p - o_q| over coupled pairs (1 without one), and solve (k, p) of
+    every run runs at step c*k + o_p. As o_q < o_p and o_p - o_q < c for coupled
+    q < p, it sees x_q^(k) before it and x_q^(k-1) after it, as a sweep does.
+    Each step's solves go to the backend grouped by block size: one stacked
+    ``np.linalg.solve`` (exact), one ``solve_sa_many`` call (SA), or one call
+    per solve. Iteration k is complete at step c*k + max o; a run that has then
+    converged or reached ``max_iters`` leaves, and the speculative solves it
+    started for up to max o // c later iterations are dropped.
     """
     if len({(c.blocks, c.bits, c.backend, c.sampler.sweeps) for c in configs}) != 1:
         raise ValueError("lockstep runs need at least one config, all sharing blocks, bits, backend and sweeps")
@@ -191,6 +220,7 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     part = partition(n, first.blocks)
     # only the right-hand sides change from sweep to sweep, so each block is split once
     splits = [(lo, hi, *_split(system, lo, hi)) for lo, hi in part.blocks]
+    offsets, period = _wavefront(splits)
     exact_backend = first.backend == "exact"
     if exact_backend:
         dense = [sub.to_dense() for _, _, sub, _ in splits]
@@ -203,43 +233,55 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"initial iterate must have length {n}")
-    xs = [x.copy() for _ in configs]
+    xs = [x.copy() for _ in configs]  # each block's latest value, per run
     initial = [BinaryEncoding(n, c.bits, *(np.full(n, v, dtype=float) for v in (c.scale, c.offset))) for c in configs]
-    encs = list(initial)
+    # (run, k) -> x^(k), block energies and clipped blocks, filled in as iteration k's solves land
+    pending = defaultdict(lambda: (np.empty(n), [None] * len(splits), []))
     records: list[list[IterationRecord]] = [[] for _ in configs]
     converged = [False] * len(configs)
-    for k in range(1, max(c.max_iters for c in configs) + 1):
-        active = [i for i, c in enumerate(configs) if not converged[i] and k <= c.max_iters]
-        if not active:
-            break
-        energies: dict[int, list[float]] = {i: [] for i in active}
-        clipped: dict[int, list[int]] = {i: [] for i in active}
-        for p, (lo, hi, sub, off) in enumerate(splits):
+    active = list(range(len(configs)))
+    for t in itertools.count(period):
+        groups: dict[int, list[tuple[int, int, int]]] = {}
+        for (p, o), i in itertools.product(enumerate(offsets), active):
+            k, rem = divmod(t - o, period)
+            if not rem and 1 <= k <= configs[i].max_iters:
+                groups.setdefault(splits[p][1] - splits[p][0], []).append((i, k, p))
+        for group in groups.values():
+            rhs = [_rhs(*splits[p][2:], xs[i]) for i, _, p in group]
             if exact_backend:
-                for i in active:
-                    xs[i][lo:hi] = np.linalg.solve(dense[p], _rhs(sub, off, xs[i]))
-                continue
-            block_encs = {i: encs[i].slice(lo, hi) for i in active}
-            problems = [encode(replace(sub, b=_rhs(sub, off, xs[i])), block_encs[i]) for i in active]
-            params = [replace(configs[i].sampler, seed=_derive_seed(configs[i].sampler.seed, k, lo)) for i in active]
-            pairs = list(zip(problems, params))
-            results = solve_sa_many(pairs) if first.backend == "sa" else [backend(*pair) for pair in pairs]
-            for i, result in zip(active, results):
-                best = result.best_sample
-                energies[i].append(best.energy)
-                if _saturated_vars(best.bits, block_encs[i].n, block_encs[i].bits):
-                    clipped[i].append(p)
-                xs[i][lo:hi] = decode(best.bits, block_encs[i])
-        for i in active:
-            config, x = configs[i], xs[i]
-            r = residual(system, x)
-            err = relative_error(x, exact_solution) if exact_solution is not None else None
-            block_energies, halfwidth = (None, None) if exact_backend else (energies[i], float(encs[i].scale.max()))
-            records[i].append(IterationRecord(k, x.copy(), r, err, block_energies, clipped[i], halfwidth))
+                values = np.linalg.solve(np.stack([dense[p] for _, _, p in group]), np.stack(rhs)[:, :, None])[:, :, 0]
+                bests = windows = [None] * len(group)
+            else:
+                pairs, windows = [], []
+                for (i, k, p), b in zip(group, rhs):
+                    lo, hi, sub, _ = splits[p]
+                    config, window = configs[i], initial[i].slice(lo, hi)
+                    windows.append(window if config.gamma == 1.0 or k == 1 else shrink_encoding(window, xs[i][lo:hi], config.gamma, k))
+                    pairs.append((encode(replace(sub, b=b), windows[-1]), replace(config.sampler, seed=_derive_seed(config.sampler.seed, k, lo))))
+                results = solve_sa_many(pairs) if first.backend == "sa" else [backend(*pair) for pair in pairs]
+                bests = [result.best_sample for result in results]
+                values = [decode(best.bits, window) for best, window in zip(bests, windows)]
+            for (i, k, p), value, best, window in zip(group, values, bests, windows):
+                lo, hi = splits[p][:2]
+                x_k, energies, clipped = pending[i, k]
+                xs[i][lo:hi] = x_k[lo:hi] = value
+                if best is not None:
+                    energies[p] = best.energy
+                    if _saturated_vars(best.bits, window.n, window.bits):
+                        clipped.append(p)
+        k, rem = divmod(t - max(offsets), period)
+        for i in list(active) if not rem and k >= 1 else []:
+            config = configs[i]
+            x_k, energies, clipped = pending.pop((i, k))
+            r = residual(system, x_k)
+            err = relative_error(x_k, exact_solution) if exact_solution is not None else None
+            halfwidth = None if exact_backend else float((initial[i].scale * config.gamma ** (k - 1)).max())
+            records[i].append(IterationRecord(k, x_k, r, err, None if exact_backend else energies, sorted(clipped), halfwidth))
             converged[i] = r <= config.tol
-            if not converged[i] and not exact_backend and config.gamma < 1.0:
-                encs[i] = shrink_encoding(initial[i], x, config.gamma, k + 1)
-    return [IterationTrace(rec, conv, residual_is_absolute=is_absolute) for rec, conv in zip(records, converged)]
+            if converged[i] or k == config.max_iters:
+                active.remove(i)
+        if not active:
+            return [IterationTrace(rec, conv, residual_is_absolute=is_absolute) for rec, conv in zip(records, converged)]
 
 
 @dataclass

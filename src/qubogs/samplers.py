@@ -136,7 +136,7 @@ def solve_exhaustive(problem: QuboProblem) -> SampleSet:
     return SampleSet([Sample(bits, energy(problem, bits), 1)])
 
 
-_SWEEP_BLOCK = 128
+_SWEEP_BLOCK = 16
 
 
 def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleSet]:
@@ -150,15 +150,16 @@ def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleS
     sample with summed occurrences.
 
     The kernel keeps spins ``s = 1 - 2q`` rather than bits, stored bits-major:
-    ``s``, the fields, the draws and the pair rows are ``(bit, read)`` and
+    ``s``, the fields and the pair rows are ``(bit, read)`` and
     ``(bit, j, read)`` arrays, so each per-bit step works on contiguous rows of
-    preallocated buffers. It is exact against a per-read Metropolis loop:
-    multiplying by +-1 is exact, so ``(s * -beta) * field`` rounds as
-    ``-beta * (s * field)`` does, and a sweep's signs are flipped once at its
-    end because bit l's sign is read only on bit l's own turn. A read that
-    keeps its bit adds a zero of either sign to the fields, which changes no
-    nonzero sum. ``exp`` may overflow to inf only where ``-beta * dE > 709``,
-    a move accepted whatever the draw.
+    preallocated buffers; the draws fill one ``(read, sweep, bit)`` buffer per
+    sweep block and are read through its ``(sweep, bit, read)`` view. It is
+    exact against a per-read Metropolis loop: multiplying by +-1 is exact, so
+    ``(s * -beta) * field`` rounds as ``-beta * (s * field)`` does, and a
+    sweep's signs are flipped once at its end because bit l's sign is read
+    only on bit l's own turn. A read that keeps its bit adds a zero of either
+    sign to the fields, which changes no nonzero sum. ``exp`` may overflow to
+    inf only where ``-beta * dE > 709``, a move accepted whatever the draw.
     """
     size, sweeps = runs[0][0].size, runs[0][1].sweeps
     if any(problem.size != size or params.sweeps != sweeps for problem, params in runs):
@@ -185,13 +186,16 @@ def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleS
     signed_betas, flips = np.empty_like(s), np.empty(s.shape, dtype=bool)
     arg, d, update = np.empty(len(rngs)), np.empty(len(rngs)), np.empty_like(fields)
     rows = list(zip(signed_betas, fields, flips, s, w_rows))
+    draws = np.empty((len(rngs), _SWEEP_BLOCK, size))  # (read, sweep, bit)
+    accepts = draws.transpose(1, 2, 0)  # (sweep, bit, read) view
 
-    # acceptance draws come in sweep blocks to bound memory; within each read
-    # the draw order is fixed, so blocking does not change the stream
+    # acceptance draws come in sweep blocks into one buffer to bound memory;
+    # within each read the draw order is fixed, so blocking does not change the stream
     with np.errstate(over="ignore"):
         for block_start in range(0, sweeps, _SWEEP_BLOCK):
             block = min(_SWEEP_BLOCK, sweeps - block_start)
-            accepts = np.stack([rng.random((block, size)) for rng in rngs], axis=2)  # (sweep, bit, read)
+            for rng, read_draws in zip(rngs, draws):
+                rng.random(out=read_draws[:block])
             for t in range(block):
                 np.multiply(s, neg_betas[block_start + t], out=signed_betas)
                 for acc, (signed_beta, field, flip, sign, w_row) in zip(accepts[t], rows):

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from qubogs.blocksolve import (
     BlockPartition,
     SolveConfig,
+    _derive_seed,
+    _rhs,
+    _saturated_vars,
+    _split,
+    _wavefront,
     check_convergence_condition,
     classical_gauss_seidel,
     gs_sweep,
@@ -16,11 +23,11 @@ from qubogs.blocksolve import (
     residual,
     shrink_encoding,
 )
-from qubogs.encoding import BinaryEncoding
+from qubogs.encoding import BinaryEncoding, decode, encode
 from qubogs.heatgrid import HeatProblem, assemble_system, named_boundary
 from qubogs.linear import LinearSystem, whole_number
-from qubogs.reference import condition_number, direct_solve, relative_error
-from qubogs.samplers import SamplerParams, solve_exhaustive
+from qubogs.reference import _singular_values, condition_number, direct_solve, relative_error
+from qubogs.samplers import BACKENDS, SamplerParams, solve_exhaustive, solve_sa_many
 from qubogs.trace import IterationRecord, IterationTrace
 
 
@@ -66,6 +73,111 @@ def loop_gauss_seidel(
             converged = True
             break
     return IterationTrace(records, converged, residual_is_absolute=is_absolute)
+
+
+def sequential_iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solution=None, x0=None) -> list[IterationTrace]:
+    """Lockstep block Gauss-Seidel one block at a time in block order: the oracle for ``iterate_many``'s wavefront.
+
+    At each block, every unfinished run builds its own QUBO and the SA backend
+    samples them all in one call; other backends are called once per run.
+    """
+    n = system.n
+    first = configs[0]
+    part = partition(n, first.blocks)
+    splits = [(lo, hi, *_split(system, lo, hi)) for lo, hi in part.blocks]
+    exact_backend = first.backend == "exact"
+    if exact_backend:
+        dense = [sub.to_dense() for _, _, sub, _ in splits]
+        for a in dense:
+            _singular_values(a)  # rank test
+    else:
+        backend = BACKENDS[first.backend] if isinstance(first.backend, str) else first.backend
+
+    is_absolute = float(np.linalg.norm(system.b)) == 0.0
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    xs = [x.copy() for _ in configs]
+    initial = [BinaryEncoding(n, c.bits, *(np.full(n, v, dtype=float) for v in (c.scale, c.offset))) for c in configs]
+    encs = list(initial)
+    records: list[list[IterationRecord]] = [[] for _ in configs]
+    converged = [False] * len(configs)
+    for k in range(1, max(c.max_iters for c in configs) + 1):
+        active = [i for i, c in enumerate(configs) if not converged[i] and k <= c.max_iters]
+        if not active:
+            break
+        energies: dict[int, list[float]] = {i: [] for i in active}
+        clipped: dict[int, list[int]] = {i: [] for i in active}
+        for p, (lo, hi, sub, off) in enumerate(splits):
+            if exact_backend:
+                for i in active:
+                    xs[i][lo:hi] = np.linalg.solve(dense[p], _rhs(sub, off, xs[i]))
+                continue
+            block_encs = {i: encs[i].slice(lo, hi) for i in active}
+            problems = [encode(replace(sub, b=_rhs(sub, off, xs[i])), block_encs[i]) for i in active]
+            params = [replace(configs[i].sampler, seed=_derive_seed(configs[i].sampler.seed, k, lo)) for i in active]
+            pairs = list(zip(problems, params))
+            results = solve_sa_many(pairs) if first.backend == "sa" else [backend(*pair) for pair in pairs]
+            for i, result in zip(active, results):
+                best = result.best_sample
+                energies[i].append(best.energy)
+                if _saturated_vars(best.bits, block_encs[i].n, block_encs[i].bits):
+                    clipped[i].append(p)
+                xs[i][lo:hi] = decode(best.bits, block_encs[i])
+        for i in active:
+            config, x = configs[i], xs[i]
+            r = residual(system, x)
+            err = relative_error(x, exact_solution) if exact_solution is not None else None
+            block_energies, halfwidth = (None, None) if exact_backend else (energies[i], float(encs[i].scale.max()))
+            records[i].append(IterationRecord(k, x.copy(), r, err, block_energies, clipped[i], halfwidth))
+            converged[i] = r <= config.tol
+            if not converged[i] and not exact_backend and config.gamma < 1.0:
+                encs[i] = shrink_encoding(initial[i], x, config.gamma, k + 1)
+    return [IterationTrace(rec, conv, residual_is_absolute=is_absolute) for rec, conv in zip(records, converged)]
+
+
+def assert_same_traces(got: list[IterationTrace], want: list[IterationTrace]) -> None:
+    assert len(got) == len(want)
+    for trace, oracle in zip(got, want):
+        assert (trace.converged, trace.residual_is_absolute, len(trace)) == (oracle.converged, oracle.residual_is_absolute, len(oracle))
+        for a, b in zip(trace.records, oracle.records):
+            assert np.array_equal(a.x, b.x)
+            fields = ("k", "residual", "relative_error", "block_energies", "clipped_blocks", "halfwidth_max")
+            assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+
+
+def sourced_plate() -> LinearSystem:
+    """The 81-unknown plate with one source and one sink."""
+    return assemble_system(HeatProblem(10, sources=[(2, 3, 25.0), (7, 8, -15.0)]))
+
+
+def coupled_system(n: int, couplings, seed: int) -> LinearSystem:
+    """Strictly diagonally dominant system whose off-diagonal entries sit exactly at the (row, col) ``couplings``."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n))
+    for i, j in couplings:
+        a[i, j] = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
+    np.fill_diagonal(a, np.abs(a).sum(axis=1) + rng.uniform(0.5, 2.0, n))
+    return LinearSystem.from_dense(a, rng.uniform(-10.0, 10.0, n))
+
+
+# name: (system, blocks, x0, wavefront offsets, period)
+WAVEFRONT_CASES = {
+    # plate row blocks: each couples to the rows above and below
+    "row blocks": lambda: (sourced_plate(), 9, None, list(range(9)), 2),
+    "row blocks from x0": lambda: (sourced_plate(), 9, np.linspace(-20.0, 80.0, 81), list(range(9)), 2),
+    # three blocks per plate row: o = row + column block
+    "27 blocks of 3": lambda: (sourced_plate(), 27, None, [r + j for r in range(9) for j in range(3)], 2),
+    # blocks of 9 and 8 unknowns: 8-unknown blocks reach two blocks ahead, and both sizes meet in one step
+    "81 in 10 blocks": lambda: (sourced_plate(), 10, None, list(range(10)), 3),
+    # a ring of four blocks: the last couples back to the first
+    "ring": lambda: (coupled_system(12, [(i, (i + 1) % 12) for i in range(12)] + [((i + 1) % 12, i) for i in range(12)], 4), 4, None, [0, 1, 2, 3], 4),
+    # one-sided couplings: each block reads only the one before it, and the first reads the last
+    "unsymmetric": lambda: (coupled_system(12, [(i, i - 1) for i in range(1, 12)] + [(1, 10)], 6), 6, None, list(range(6)), 6),
+    "block diagonal": lambda: (coupled_system(9, [(0, 1), (1, 2), (4, 3), (5, 4), (7, 8), (8, 6)], 7), 3, None, [0, 0, 0], 1),
+}
+# exhaustive runs only where a block QUBO has at most 12 bits
+WAVEFRONT_RUNS = [(case, backend) for case in WAVEFRONT_CASES for backend in ("exact", "sa")] + [
+    (case, "exhaustive") for case in ("27 blocks of 3", "ring", "unsymmetric", "block diagonal")
+]
 
 
 class TestPartition:
@@ -336,6 +448,78 @@ class TestIterateMany:
                 iterate_many(system, [base, other])
         with pytest.raises(ValueError, match="at least one"):
             iterate_many(system, [])
+
+
+class TestWavefront:
+    @pytest.mark.parametrize("case", list(WAVEFRONT_CASES))
+    def test_schedule(self, case):
+        system, blocks, _, offsets, period = WAVEFRONT_CASES[case]()
+        part = partition(system.n, blocks)
+        assert _wavefront([(lo, hi, *_split(system, lo, hi)) for lo, hi in part.blocks]) == (offsets, period)
+
+    @pytest.mark.parametrize("case, backend", WAVEFRONT_RUNS)
+    def test_matches_sequential_sweeps(self, case, backend):
+        # the runs differ in gamma, tolerance, iteration cap and seed, so they leave at different k
+        system, blocks, x0, _, _ = WAVEFRONT_CASES[case]()
+        exact = direct_solve(system)
+        base = SolveConfig(blocks=blocks, bits=2, scale=60.0, offset=20.0, backend=backend, sampler=SamplerParams(num_reads=4, sweeps=20))
+        run_settings = [(1.0, 1e-2, 14, 1), (0.8, 1e-6, 14, 2), (0.8, 1e-6, 4, 3)]
+        configs = [
+            replace(base, gamma=g, tol=tol, max_iters=m, sampler=replace(base.sampler, seed=s)) for g, tol, m, s in run_settings
+        ]
+        traces = iterate_many(system, configs, exact_solution=exact, x0=x0)
+        if (case, backend) != ("block diagonal", "exact"):  # which every run solves in one sweep
+            assert len({len(trace) for trace in traces}) > 1
+        assert_same_traces(traces, sequential_iterate_many(system, configs, exact_solution=exact, x0=x0))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 16), st.floats(0.05, 0.6), st.integers(0, 2**32 - 1), st.data())
+    def test_exact_matches_sequential_sweeps_on_random_systems(self, n, density, seed, data):
+        # sparse, strictly diagonally dominant, generally unsymmetric patterns, any block count
+        blocks = data.draw(st.integers(1, n), label="blocks")
+        rng = np.random.default_rng(seed)
+        a = np.where(rng.random((n, n)) < density, rng.uniform(-2.0, 2.0, (n, n)), 0.0)
+        np.fill_diagonal(a, 0.0)
+        np.fill_diagonal(a, rng.choice([-1.0, 1.0], n) * (np.abs(a).sum(axis=1) + rng.uniform(0.1, 2.0, n)))
+        system = LinearSystem.from_dense(a, rng.uniform(-10.0, 10.0, n))
+        exact = direct_solve(system)
+        configs = [SolveConfig(blocks=blocks, tol=tol, max_iters=m, backend="exact") for tol, m in ((1e-8, 40), (1e-3, 40), (1e-8, 3))]
+        assert_same_traces(iterate_many(system, configs, exact), sequential_iterate_many(system, configs, exact))
+
+    def test_callable_backend_contract(self):
+        # each (seed, k, block) solve is asked for at most once, never past a run's cap, and at most
+        # max o // c iterations are started past a run's last one
+        system = sourced_plate()
+        seen = []
+
+        def recording(problem, params):
+            seen.append(params.seed)
+            return solve_exhaustive(problem)
+
+        base = SolveConfig(blocks=27, bits=3, scale=50.0, gamma=0.8, backend=recording)
+        run_settings = [(1e-2, 60, 1), (1e-9, 7, 2), (3e-2, 60, 3)]
+        configs = [replace(base, tol=tol, max_iters=m, sampler=SamplerParams(seed=s)) for tol, m, s in run_settings]
+        traces = iterate_many(system, configs)
+        part = partition(system.n, 27)
+        offsets, period = _wavefront([(lo, hi, *_split(system, lo, hi)) for lo, hi in part.blocks])
+        assert period == 2 and max(offsets) // period == 5
+        solve_of = {
+            _derive_seed(c.sampler.seed, k, lo): (run, k, lo)
+            for run, c in enumerate(configs)
+            for k in range(1, c.max_iters + 10)
+            for lo, _ in part.blocks
+        }
+        solves = [solve_of[seed] for seed in seen]
+        assert len(set(solves)) == len(solves)
+        for run, (config, trace) in enumerate(zip(configs, traces)):
+            started = {(k, lo) for r, k, lo in solves if r == run}
+            every_block = {(k, lo) for k in range(1, len(trace) + 1) for lo, _ in part.blocks}
+            assert every_block <= started
+            last_started = max(k for k, _ in started)
+            assert last_started <= config.max_iters
+            assert last_started - len(trace) <= max(offsets) // period
+        assert [traces[0].converged, traces[1].converged, traces[2].converged] == [True, False, True]
+        assert len(solves) > sum(len(trace) for trace in traces) * 27  # the converged runs left speculative solves behind
 
 
 class TestContractionOperators:

@@ -4,10 +4,12 @@
 
 Runs `qubogs.cli.main` in-process, from this checkout's `src/`, with one BLAS
 thread: `solve demo.ini` and `render` of its field (the ASCII preview goes to
-`preview.txt`), `sweep demo.ini`, and the seed-51 `sa-sweep` and `exact-plate`
-configs that `perfbench/workloads.py` generates. Each command writes into its
-own subdirectory of DIR and the exit codes go to DIR/exit_codes.txt, so two
-checkouts' snapshots compare with `diff -r`. The demo sweep takes about 90 s.
+`preview.txt`), `sweep demo.ini`, the seed-51 `sa-sweep` and `exact-plate`
+configs that `perfbench/workloads.py` generates, and the first of its seed-51
+`exhaustive-blocks` plates (27 blocks of 3 unknowns, 4 bits each). Each
+command writes into its own subdirectory of DIR and the exit codes go to
+DIR/exit_codes.txt, so two checkouts' snapshots compare with `diff -r`. A
+snapshot takes about a minute, most of it the demo sweep.
 """
 
 import os
@@ -31,9 +33,9 @@ SEED = 51
 def snapshot(out: str) -> None:
     demo = os.path.join(ROOT, "demo.ini")
     commands = {"solve": ["solve", demo], "sweep": ["sweep", demo]}
-    for name in ("sa-sweep", "exact-plate"):
+    for name in ("sa-sweep", "exact-plate", "exhaustive-blocks"):
         workload = WORKLOADS[name]
-        (case,) = make_cases(workload, SEED)
+        case = make_cases(workload, SEED)[0]
         os.makedirs(os.path.join(out, name))
         ini = os.path.join(out, name, "config.ini")
         with open(ini, "w", newline="\n") as fh:
