@@ -3,10 +3,11 @@
 The system splits into contiguous blocks. Each iteration sweeps the blocks in
 order, solving the diagonal block against a right-hand side that uses
 already-updated values for earlier blocks and previous-iteration values for
-later ones. The diagonal blocks and their off-block couplings are split out
-once per solve; a sweep only recomputes each block's right-hand side. A block
-is solved either exactly (one dense matrix per block, rank-tested once) or by
-encoding it as a QUBO, sampling with a backend, and decoding the best sample.
+later ones. The diagonal blocks, their dense matrices and their off-block
+couplings are split out once per solve; a sweep only recomputes each block's
+right-hand side. A block is solved either exactly (rank-tested once) or by
+encoding it as a QUBO from its matrix and cached A^T A, sampling with a
+backend, and decoding the best sample.
 
 The block solves run on a wavefront schedule (Lamport's hyperplane method):
 solve (k, p) runs at step c*k + o_p, so blocks that do not couple are solved
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .encoding import BinaryEncoding, QuboProblem, decode, encode
+from .encoding import BinaryEncoding, QuboProblem, decode, encode_dense
 from .linear import LinearSystem, whole_number
 from .reference import _singular_values, relative_error, solve_dense
 from .samplers import BACKENDS, SampleSet, SamplerParams, solve_sa_many
@@ -221,13 +222,14 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     # only the right-hand sides change from sweep to sweep, so each block is split once
     splits = [(lo, hi, *_split(system, lo, hi)) for lo, hi in part.blocks]
     offsets, period = _wavefront(splits)
+    dense = [sub.to_dense() for _, _, sub, _ in splits]
     exact_backend = first.backend == "exact"
     if exact_backend:
-        dense = [sub.to_dense() for _, _, sub, _ in splits]
         for a in dense:
             _singular_values(a)  # rank test
     else:
         backend: Backend = BACKENDS[first.backend] if isinstance(first.backend, str) else first.backend
+        grams = [a.T @ a for a in dense]  # only b and the window change between a block's encodings
 
     is_absolute = float(np.linalg.norm(system.b)) == 0.0
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
@@ -254,10 +256,10 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
             else:
                 pairs, windows = [], []
                 for (i, k, p), b in zip(group, rhs):
-                    lo, hi, sub, _ = splits[p]
+                    lo, hi = splits[p][:2]
                     config, window = configs[i], initial[i].slice(lo, hi)
                     windows.append(window if config.gamma == 1.0 or k == 1 else shrink_encoding(window, xs[i][lo:hi], config.gamma, k))
-                    pairs.append((encode(replace(sub, b=b), windows[-1]), replace(config.sampler, seed=_derive_seed(config.sampler.seed, k, lo))))
+                    pairs.append((encode_dense(dense[p], grams[p], b, windows[-1]), replace(config.sampler, seed=_derive_seed(config.sampler.seed, k, lo))))
                 results = solve_sa_many(pairs) if first.backend == "sa" else [backend(*pair) for pair in pairs]
                 bests = [result.best_sample for result in results]
                 values = [decode(best.bits, window) for best, window in zip(bests, windows)]

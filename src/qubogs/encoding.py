@@ -169,18 +169,29 @@ def encode(system: LinearSystem, enc: BinaryEncoding) -> QuboProblem:
     Diagonal pairs (l, l) fold into the linear part; each off-diagonal pair
     takes twice its upper-triangular raw coefficient in both mirror positions.
     """
-    if enc.n != system.n:
-        raise ValueError(f"encoding covers {enc.n} variables but the system has {system.n}")
     a = system.to_dense()
-    g = a.T @ a
+    return encode_dense(a, a.T @ a, system.b, enc)
+
+
+def encode_dense(a: np.ndarray, g: np.ndarray, b: np.ndarray, enc: BinaryEncoding) -> QuboProblem:
+    """``encode`` of the system with dense matrix ``a``, its Gram matrix ``g = a.T @ a`` and right-hand side ``b``.
+
+    A solver that meets one matrix under many right-hand sides and windows
+    computes ``a`` and ``g`` once and passes them here.
+    """
+    if enc.n != len(b):
+        raise ValueError(f"encoding covers {enc.n} variables but the system has {len(b)}")
     c = enc.scale
     weights = 2.0 ** -np.arange(enc.bits)
 
-    raw = np.kron(g * c[:, None] * c[None, :], np.outer(weights, weights))
+    # Kronecker products laid out by broadcasting: entry (i*R + r, j*R + s) is
+    # (c_i c_j G_ij) * 2^-(r+s), the one product np.kron would form
+    scaled = g * c[:, None] * c[None, :]
+    raw = (scaled[:, None, :, None] * np.outer(weights, weights)[None, :, None, :]).reshape(enc.size, enc.size)
     # the upper triangle alone decides every pair, so rounding asymmetries of
     # A^T A and of the scale products never make W asymmetric
     upper = 2.0 * np.triu(raw, 1)
-    linear = np.kron(-2.0 * c * (g @ enc.offset + a.T @ system.b), weights) + np.diag(raw)
+    linear = ((-2.0 * c * (g @ enc.offset + a.T @ b))[:, None] * weights).ravel() + np.diag(raw)
 
-    residual_at_origin = a @ enc.offset + system.b
+    residual_at_origin = a @ enc.offset + b
     return QuboProblem(enc.size, linear, upper + upper.T, float(residual_at_origin @ residual_at_origin))

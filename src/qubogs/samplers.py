@@ -139,6 +139,14 @@ def solve_exhaustive(problem: QuboProblem) -> SampleSet:
 _SWEEP_BLOCK = 16
 
 
+def _seed_words(seed: int) -> list[int]:
+    """The uint32 words, least significant first, into which SeedSequence splits a nonnegative int."""
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    return words
+
+
 def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleSet]:
     """Simulated annealing on several (problem, params) runs of one size and sweep count at once.
 
@@ -149,44 +157,74 @@ def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleS
     shares the call. Duplicate final bitstrings of a run aggregate into one
     sample with summed occurrences.
 
-    The kernel keeps spins ``s = 1 - 2q`` rather than bits, stored bits-major:
-    ``s``, the fields and the pair rows are ``(bit, read)`` and
-    ``(bit, j, read)`` arrays, so each per-bit step works on contiguous rows of
-    preallocated buffers; the draws fill one ``(read, sweep, bit)`` buffer per
-    sweep block and are read through its ``(sweep, bit, read)`` view. It is
-    exact against a per-read Metropolis loop: multiplying by +-1 is exact, so
-    ``(s * -beta) * field`` rounds as ``-beta * (s * field)`` does, and a
-    sweep's signs are flipped once at its end because bit l's sign is read
-    only on bit l's own turn. A read that keeps its bit adds a zero of either
-    sign to the fields, which changes no nonzero sum. ``exp`` may overflow to
-    inf only where ``-beta * dE > 709``, a move accepted whatever the draw.
+    Layout: the kernel keeps spins ``s = 1 - 2q`` rather than bits. ``s``, the
+    fields, the signed betas and the updates are C-ordered ``(bit, read)``
+    buffers and the pair rows a C-ordered ``(bit, j, read)`` buffer, so every
+    per-bit step works on contiguous rows; the draws fill one
+    ``(read, sweep, bit)`` buffer per sweep block and are read through its
+    ``(sweep, bit, read)`` view.
+
+    It is exact against a per-read Metropolis loop. Multiplying by +-1 is
+    exact, so ``(s * -beta) * field`` rounds as ``-beta * (s * field)`` does,
+    and a sweep's signs are flipped once at its end because bit l's sign is
+    read only on bit l's own turn. A read that keeps its bit adds a zero of
+    either sign to the fields, which changes no nonzero sum. ``exp`` may
+    overflow to inf only where ``-beta * dE > 709``, a move accepted whatever
+    the draw.
+
+    Span: bit l's turn updates only fields lo..hi-1, from the first to the
+    last j with ``W[l, j] != 0`` in any run of the call. Every skipped entry
+    would add ``0 * d = +-0``, which leaves a nonzero field as it is and can
+    change only the sign of a zero field; a zero field gives ``exp(+-0) = 1``,
+    which every draw in [0, 1) accepts, so its sign never decides a move.
+
+    Tally: each run's final bits are packed with ``np.packbits`` (first bit
+    most significant, zero padding) and viewed as one ``V{nbytes}`` item per
+    read. Equal items are equal bitstrings, and the bytewise order of the items
+    is the lexicographic order of the bitstrings, so the 1-D ``np.unique``
+    finds the distinct bitstrings and counts that ``np.unique(q, axis=0)``
+    does.
+
+    Seeding: SeedSequence splits an int entropy into its uint32 words, least
+    significant first, and a tuple into the concatenation of its items' words.
+    So the words of the seed followed by the read index (one word below 2^32)
+    give each read the pool that ``(seed, read)`` gives, for a seed of any size.
     """
     size, sweeps = runs[0][0].size, runs[0][1].sweeps
     if any(problem.size != size or params.sweeps != sweeps for problem, params in runs):
         raise ValueError("batched annealing runs must share problem size and sweep count")
-    rngs, q, fields, betas, w_rows = [], [], [], [], []
+    reads = sum(params.num_reads for _, params in runs)
+    s, fields = np.empty((size, reads)), np.empty((size, reads))  # (bit, read)
+    neg_betas = np.empty((sweeps, reads))  # (sweep, read)
+    w_rows = np.empty((size, size, reads))  # w_rows[l] holds row l of each read's pair matrix
+    coupled = np.zeros((size, size), dtype=bool)
+    rngs = []
+    stop = 0
     for problem, params in runs:
-        run_rngs = [np.random.default_rng((params.seed, read)) for read in range(params.num_reads)]
+        start, stop = stop, stop + params.num_reads
+        seed_words = _seed_words(params.seed)
+        entropy = np.array([[*seed_words, read] for read in range(params.num_reads)], dtype=np.uint32)
+        run_rngs = [np.random.default_rng(words) for words in entropy]
         run_q = np.stack([rng.integers(0, 2, size=size).astype(float) for rng in run_rngs])
         w = problem.quadratic
         rngs += run_rngs
-        q.append(run_q)
+        s[:, start:stop] = 1.0 - 2.0 * run_q.T
         # per-bit flip drive, maintained incrementally; one matmul per run rounds as a lone run does
-        fields.append((problem.linear[None, :] + run_q @ w).T)
+        fields[:, start:stop] = (problem.linear[None, :] + run_q @ w).T
         beta_lo, beta_hi = (params.beta_initial, params.beta_final)
         if beta_lo is None:
             beta_lo, beta_hi = default_beta_range(problem)
         schedule = beta_lo * (beta_hi / beta_lo) ** (np.arange(sweeps) / max(sweeps - 1, 1))
-        betas.append(np.broadcast_to(schedule[:, None], (sweeps, params.num_reads)))
-        w_rows.append(np.broadcast_to(w[:, :, None], (size, size, params.num_reads)))
-    s = 1.0 - 2.0 * np.concatenate(q, axis=0).T  # (bit, read)
-    fields = np.concatenate(fields, axis=1)
-    neg_betas = -np.concatenate(betas, axis=1)  # (sweep, read)
-    w_rows = np.concatenate(w_rows, axis=2)  # w_rows[l] holds row l of each read's pair matrix
-    signed_betas, flips = np.empty_like(s), np.empty(s.shape, dtype=bool)
-    arg, d, update = np.empty(len(rngs)), np.empty(len(rngs)), np.empty_like(fields)
-    rows = list(zip(signed_betas, fields, flips, s, w_rows))
-    draws = np.empty((len(rngs), _SWEEP_BLOCK, size))  # (read, sweep, bit)
+        neg_betas[:, start:stop] = -schedule[:, None]
+        w_rows[:, :, start:stop] = w[:, :, None]
+        coupled |= w != 0.0
+    signed_betas, flips, update = np.empty_like(s), np.empty(s.shape, dtype=bool), np.empty_like(fields)
+    arg, d = np.empty(reads), np.empty(reads)
+    rows = []
+    for l, nonzero in enumerate(coupled):  # bit l's span: the first to the last bit that some run couples to it
+        lo, hi = (nonzero.argmax(), size - nonzero[::-1].argmax()) if nonzero.any() else (0, 0)
+        rows.append((signed_betas[l], fields[l], flips[l], s[l], w_rows[l, lo:hi], fields[lo:hi], update[lo:hi]))
+    draws = np.empty((reads, _SWEEP_BLOCK, size))  # (read, sweep, bit)
     accepts = draws.transpose(1, 2, 0)  # (sweep, bit, read) view
 
     # acceptance draws come in sweep blocks into one buffer to bound memory;
@@ -198,17 +236,18 @@ def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleS
                 rng.random(out=read_draws[:block])
             for t in range(block):
                 np.multiply(s, neg_betas[block_start + t], out=signed_betas)
-                for acc, (signed_beta, field, flip, sign, w_row) in zip(accepts[t], rows):
+                for acc, (signed_beta, field, flip, sign, w_span, field_span, update_span) in zip(accepts[t], rows):
                     # accept when exp(-beta*dE) beats the draw; dE <= 0 always passes.
                     # A positional output buffer costs less per call than out=.
                     np.multiply(signed_beta, field, arg)
                     np.exp(arg, arg)
                     np.less(acc, arg, flip)
                     np.multiply(sign, flip, d)
-                    np.multiply(w_row, d, update)
-                    np.add(fields, update, fields)
+                    np.multiply(w_span, d, update_span)
+                    np.add(field_span, update_span, field_span)
                 np.negative(s, out=s, where=flips)
-    q = ((1.0 - s) / 2.0).T
+    q = np.zeros((reads, size + 1), dtype=bool)  # (read, bit) and a zero pad bit, so a 0-bit run still packs to a byte
+    q[:, :size] = (s < 0.0).T
 
     results = []
     stop = 0
@@ -217,8 +256,10 @@ def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleS
         run_q = q[start:stop]
         if params.noise_p > 0:
             noise = np.stack([rng.random(size) for rng in rngs[start:stop]])
-            run_q = np.where(noise < params.noise_p, 1.0 - run_q, run_q)
-        distinct, counts = np.unique(run_q, axis=0, return_counts=True)
+            run_q[:, :size] ^= noise < params.noise_p
+        packed = np.packbits(run_q, axis=1)
+        _, first, counts = np.unique(packed.view(f"V{packed.shape[1]}")[:, 0], return_index=True, return_counts=True)
+        distinct = run_q[first, :size].astype(float)
         bit_rows = distinct.astype(np.int64).tolist()
         samples = [Sample(tuple(bits), energy(problem, row), occ) for row, bits, occ in zip(distinct, bit_rows, counts.tolist())]
         samples.sort(key=lambda sample: (sample.energy, sample.bits))

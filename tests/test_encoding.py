@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qubogs.blocksolve import gs_sweep, partition, shrink_encoding
+from qubogs.blocksolve import _rhs, _split, gs_sweep, partition, shrink_encoding
 from qubogs.encoding import (
     BinaryEncoding,
     QuboProblem,
     decode,
     encode,
+    encode_dense,
     estimate_resources,
     required_bits,
 )
@@ -251,6 +252,37 @@ class TestLoopEncodeOracle:
             assert len(subs) == blocks
             for sub, lo, hi in subs:
                 assert_matches_loop_encode(sub, enc.slice(lo, hi))
+
+
+class TestEncodeDense:
+    """The block-level helper, fed one block matrix and Gram matrix per solve, reproduces ``encode`` bit for bit."""
+
+    @pytest.mark.parametrize("m, blocks", [(10, 9), (10, 27), (20, 19)])
+    def test_cached_block_matrices_under_shrinking_windows(self, m, blocks):
+        problem = HeatProblem(m, sources=[(2, 3, 25.0), (m - 3, m - 2, -15.0)])
+        system = assemble_system(problem)
+        exact = direct_solve(system)
+        rng = np.random.default_rng(m + blocks)
+        initial = BinaryEncoding.uniform(system.n, 3, 50.0, 0.0)
+        for lo, hi in partition(system.n, blocks).blocks:
+            # split and densified once, as a solve keeps them, then met under a new b and window per sweep
+            sub, off = _split(system, lo, hi)
+            a = sub.to_dense()
+            g = a.T @ a
+            for k in (1, 2, 5, 12, 30):
+                x = exact + rng.normal(0.0, 0.8**k, system.n)
+                b = _rhs(sub, off, x)
+                window = shrink_encoding(initial.slice(lo, hi), x[lo:hi], 0.8, k)
+                got = encode_dense(a, g, b, window)
+                want = encode(LinearSystem(sub.n, sub.rows, sub.cols, sub.vals, b), window)
+                assert np.array_equal(got.linear, want.linear)
+                assert np.array_equal(got.quadratic, want.quadratic)
+                assert got.offset == want.offset
+
+    def test_window_size_mismatch(self):
+        a = np.eye(2)
+        with pytest.raises(ValueError, match="encoding covers 3 variables but the system has 2"):
+            encode_dense(a, a.T @ a, np.ones(2), BinaryEncoding.uniform(3, 2, 1.0))
 
 
 class TestQuboProblemValidation:

@@ -270,8 +270,25 @@ def random_qubo(rng, size: int) -> QuboProblem:
     return QuboProblem(size, linear, upper + upper.T, 0.0)
 
 
+def structured_qubo(rng, size: int, band: int | None = None, block: int | None = None, zero_row: int | None = None) -> QuboProblem:
+    """``random_qubo`` with pairs only within ``band`` of the diagonal or within diagonal blocks of ``block`` bits.
+
+    ``zero_row`` clears one bit's row and column, so that bit couples to nothing.
+    """
+    prob = random_qubo(rng, size)
+    offset = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
+    keep = np.ones((size, size), dtype=bool)
+    if band is not None:
+        keep &= offset <= band
+    if block is not None:
+        keep &= np.equal.outer(np.arange(size) // block, np.arange(size) // block)
+    if zero_row is not None:
+        keep[zero_row] = keep[:, zero_row] = False
+    return QuboProblem(size, prob.linear, np.where(keep, prob.quadratic, 0.0), 0.0)
+
+
 class TestLoopSaOracle:
-    """The sign kernel and np.unique tally reproduce the loop annealer exactly."""
+    """The sign kernel, its coupled spans, its packed-bit tally and its word seeding reproduce the loop annealer exactly."""
 
     def test_small_corpus(self):
         for i, (name, prob) in enumerate(small_corpus()):
@@ -326,6 +343,72 @@ class TestLoopSaOracle:
             problem = QuboProblem(12, rng.uniform(-1.0, 1.0, 12) * scales, upper + upper.T, 0.0)
             runs.append((problem, SamplerParams(16, 40, 0.5, 50.0, seed)))
         assert solve_sa_many(runs) == [loop_solve_sa(*run) for run in runs]
+
+    def test_seeds_of_several_words(self):
+        # seeds of two words (2^32, 2^64 - 1) and three words (2^70 + 3), alone and sharing one call
+        rng = np.random.default_rng(2**32)
+        seeds = (2**32, 2**64 - 1, 2**70 + 3)
+        runs = [(random_qubo(rng, 11), oracle_params(4 + 9 * i, seed)) for i, seed in enumerate(seeds)]
+        for run in runs:
+            assert solve_sa(*run) == loop_solve_sa(*run), f"seed {run[1].seed}"
+        assert solve_sa_many(runs) == [loop_solve_sa(*run) for run in runs]
+
+    @pytest.mark.parametrize("shape", [{"band": 2}, {"band": 5}, {"block": 4}, {"block": 7}])
+    def test_banded_and_block_diagonal_pairs(self, shape):
+        # each bit's span covers only its band or block; one bit couples to nothing
+        rng = np.random.default_rng(3 + sum(shape.values()))
+        for i in range(8):
+            size = int(rng.integers(8, 30))
+            prob = structured_qubo(rng, size, zero_row=int(rng.integers(size)), **shape)
+            assert not prob.quadratic.any(axis=1).all()
+            params = oracle_params(5 * i + 1, 1000 + i)
+            assert solve_sa(prob, params) == loop_solve_sa(prob, params), f"case {i} with {params}"
+
+    def test_runs_with_different_spans_share_a_call(self):
+        # a call's span for bit l runs over every run's couplings of bit l:
+        # narrow bands, blocks, a zero row in one run only and a dense run together
+        rng = np.random.default_rng(1515)
+        size = 20
+        problems = [
+            structured_qubo(rng, size, band=1),
+            structured_qubo(rng, size, block=5, zero_row=0),
+            structured_qubo(rng, size, band=3, zero_row=size - 1),
+            random_qubo(rng, size),
+        ]
+        for narrow in (problems[:3], problems):
+            runs = [(prob, oracle_params(3 * j + 1, 77 + j)) for j, prob in enumerate(narrow)]
+            assert solve_sa_many(runs) == [loop_solve_sa(*run) for run in runs]
+
+    @pytest.mark.parametrize("size", [54, 56, 63, 64, 65, 70])
+    def test_tally_of_wide_bitstrings(self, size):
+        # linear terms of 3 or 4 outweigh the at most two pairs of 0.5 per bit, so cold
+        # sweeps settle every bit but three uncoupled free ones, which flip on each
+        # turn; the 64 reads repeat at most 8 bitstrings that differ beyond byte one
+        rng = np.random.default_rng(size)
+        linear = rng.choice([-4.0, -3.0, 3.0, 4.0], size)
+        free = [5, size // 2, size - 2]
+        linear[free] = 0.0
+        pairs = np.diag(rng.choice([-0.5, 0.0, 0.5], size - 1), 1)
+        pairs[free] = pairs[:, free] = 0.0
+        prob = QuboProblem(size, linear, pairs + pairs.T, 0.0)
+        for sweeps, noise in ((3, 0.0), (4, 0.0), (3, 0.02)):
+            params = SamplerParams(64, sweeps, 2.0, 20.0, size, noise)
+            result = solve_sa(prob, params)
+            assert result == loop_solve_sa(prob, params), f"{sweeps} sweeps, noise {noise}"
+            if noise == 0.0:
+                assert 1 < len(result.samples) <= 8 and max(s.occurrences for s in result.samples) > 1
+
+    def test_non_c_ordered_pair_matrices(self):
+        # an F-ordered copy and a transposed view carry the same symmetric W
+        rng = np.random.default_rng(4242)
+        for i in range(6):
+            prob = random_qubo(rng, int(rng.integers(2, 25)))
+            params = oracle_params(6 * i + 2, 500 + i)
+            want = loop_solve_sa(prob, params)
+            for quadratic in (np.asfortranarray(prob.quadratic), np.ascontiguousarray(prob.quadratic).T):
+                strided = QuboProblem(prob.size, prob.linear, quadratic, 0.0)
+                assert strided.quadratic.flags.f_contiguous and not strided.quadratic.flags.c_contiguous
+                assert solve_sa(strided, params) == want == loop_solve_sa(strided, params), f"case {i} with {params}"
 
 
 def test_sa_many_leaves_inputs_unchanged():
