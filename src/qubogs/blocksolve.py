@@ -34,7 +34,7 @@ import numpy as np
 from .encoding import BinaryEncoding, QuboProblem, decode, encode_dense
 from .linear import LinearSystem, whole_number
 from .reference import _singular_values, relative_error, solve_dense
-from .samplers import BACKENDS, SampleSet, SamplerParams, solve_sa_many
+from .samplers import BACKENDS, SampleSet, SamplerParams, _seed_states, _seed_words, solve_sa_many
 from .trace import IterationRecord, IterationTrace
 
 Backend = Callable[[QuboProblem, SamplerParams], SampleSet]
@@ -155,10 +155,6 @@ def gs_sweep(system: LinearSystem, part: BlockPartition, x_prev, block_solver: B
     return x
 
 
-def _derive_seed(master: int, k: int, block: int) -> int:
-    return int(np.random.SeedSequence((master, k, block)).generate_state(1, dtype=np.uint64)[0])
-
-
 def _saturated_vars(bits: tuple[int, ...], nvars: int, bits_per_var: int) -> bool:
     q = np.asarray(bits).reshape(nvars, bits_per_var)
     per_var = q.sum(axis=1)
@@ -255,11 +251,13 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
                 bests = windows = [None] * len(group)
             else:
                 pairs, windows = [], []
-                for (i, k, p), b in zip(group, rhs):
+                # each solve's seed: the first word of SeedSequence((seed, k, lo)); k and lo are single words
+                seeds = _seed_states([[*_seed_words(configs[i].sampler.seed), k, splits[p][0]] for i, k, p in group])[:, 0]
+                for (i, k, p), b, seed in zip(group, rhs, seeds.tolist()):
                     lo, hi = splits[p][:2]
                     config, window = configs[i], initial[i].slice(lo, hi)
                     windows.append(window if config.gamma == 1.0 or k == 1 else shrink_encoding(window, xs[i][lo:hi], config.gamma, k))
-                    pairs.append((encode_dense(dense[p], grams[p], b, windows[-1]), replace(config.sampler, seed=_derive_seed(config.sampler.seed, k, lo))))
+                    pairs.append((encode_dense(dense[p], grams[p], b, windows[-1]), replace(config.sampler, seed=seed)))
                 results = solve_sa_many(pairs) if first.backend == "sa" else [backend(*pair) for pair in pairs]
                 bests = [result.best_sample for result in results]
                 values = [decode(best.bits, window) for best, window in zip(bests, windows)]

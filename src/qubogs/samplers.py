@@ -12,6 +12,7 @@ of a per-read Metropolis loop; its docstring gives the exactness argument.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,8 @@ class SamplerParams:
             raise ValueError("set both beta endpoints or neither")
         if self.beta_initial is not None and not 0.0 < self.beta_initial <= self.beta_final < np.inf:
             raise ValueError("beta schedule requires finite beta_final >= beta_initial > 0")
+        if self.beta_initial is not None and self.beta_final / self.beta_initial == np.inf:
+            raise ValueError("beta schedule requires a finite ratio beta_final / beta_initial")
         if not 0.0 <= self.noise_p < 1.0:
             raise ValueError("noise_p must lie in [0, 1)")
         if not 0 <= self.seed < np.inf or int(self.seed) != self.seed:
@@ -136,7 +139,14 @@ def solve_exhaustive(problem: QuboProblem) -> SampleSet:
     return SampleSet([Sample(bits, energy(problem, bits), 1)])
 
 
-_SWEEP_BLOCK = 16
+# acceptance draws held at once: the sweeps that fit in this many bytes, at least one. 2 MiB holds
+# 40 sweeps of a call of 150 reads x 27 bits, so each read fills them with one call
+_DRAW_BYTES = 1 << 21
+
+# the constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx), stable under NEP 19
+_POOL_SIZE = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 def _seed_words(seed: int) -> list[int]:
@@ -145,6 +155,64 @@ def _seed_words(seed: int) -> list[int]:
     while seed := seed >> 32:
         words.append(seed & 0xFFFFFFFF)
     return words
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of uint32 words under the running constant; returns the hashes and the next constant."""
+    const_next = const * mult & 0xFFFFFFFF
+    value = (value ^ const) * const_next
+    return value ^ value >> 16, const_next
+
+
+def _seed_states(rows: list[list[int]]) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of uint32 words, as one C-ordered array.
+
+    Ports SeedSequence's ``mix_entropy`` and ``generate_state`` to uint32
+    array arithmetic, which wraps modulo 2^32 as the C code does; rows of one
+    width are hashed together, one array element per row.
+    """
+    states = np.empty((len(rows), _POOL_SIZE), dtype=np.uint64)
+    by_width: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        by_width.setdefault(len(row), []).append(i)
+    for width, index in by_width.items():
+        entropy = np.zeros((max(width, _POOL_SIZE), len(index)), dtype=np.uint32)  # (word, row), zero-padded to the pool
+        entropy[:width] = np.array([rows[i] for i in index], dtype=np.uint32).T
+        # mix_entropy: hash the first words into the pool, mix every pool word into
+        # every other, then each further entropy word into every pool word
+        const, pool = _INIT_A, np.empty((_POOL_SIZE, len(index)), dtype=np.uint32)
+        for i in range(_POOL_SIZE):
+            pool[i], const = _hashmix(entropy[i], const, _MULT_A)
+        pool_pairs = itertools.permutations(range(_POOL_SIZE), 2)
+        for src, dst in itertools.chain(pool_pairs, itertools.product(range(_POOL_SIZE, width), range(_POOL_SIZE))):
+            hashed, const = _hashmix(pool[src] if src < _POOL_SIZE else entropy[src], const, _MULT_A)
+            mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+            pool[dst] = mixed ^ mixed >> 16
+        # generate_state: 8 uint32 words from the cycled pool, paired low word first
+        const, words = _INIT_B, np.empty((2 * _POOL_SIZE, len(index)), dtype=np.uint64)
+        for i in range(2 * _POOL_SIZE):
+            words[i], const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
+        states[index] = (words[0::2] | words[1::2] << 32).T
+    return states
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands a bit generator precomputed state words (PCG64 asks for 4 uint64s)."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _initial_bits(rngs: list[np.random.Generator], size: int) -> np.ndarray:
+    """``rng.integers(0, 2, size)`` of every generator, stacked.
+
+    Each bit is the top bit of a 32-bit half of the generator's raw words, low half first.
+    """
+    raw = np.stack([rng.bit_generator.random_raw((size + 1) // 2) for rng in rngs])
+    return ((raw[:, :, None] >> np.array([31, 63], dtype=np.uint64)) & 1).reshape(len(rngs), -1)[:, :size]
 
 
 def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleSet]:
@@ -185,10 +253,20 @@ def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleS
     finds the distinct bitstrings and counts that ``np.unique(q, axis=0)``
     does.
 
-    Seeding: SeedSequence splits an int entropy into its uint32 words, least
-    significant first, and a tuple into the concatenation of its items' words.
-    So the words of the seed followed by the read index (one word below 2^32)
-    give each read the pool that ``(seed, read)`` gives, for a seed of any size.
+    Seeding: each read's generator is the one ``default_rng((seed, read))``
+    builds. SeedSequence splits an int into its uint32 words, least
+    significant first, and a tuple into its items' words in order, so the
+    seed's words followed by the read index (one word) are the entropy of
+    ``(seed, read)`` for a seed of any size. ``_seed_states`` hashes the
+    entropy of every read of the call in one pass of uint32 array arithmetic,
+    which wraps as SeedSequence's C code does, and gives the 4 words that
+    ``SeedSequence.generate_state(4, np.uint64)`` would; numpy's PCG64 then
+    seeds itself from them through ``_Words``. The initial bits are
+    ``rng.integers(0, 2, size)``: that draw is Lemire's bounded method with
+    range 2, which never rejects and keeps the top bit of each 32-bit word,
+    and PCG64 serves 32-bit words as the halves of its 64-bit outputs, low
+    half first. An odd size leaves a half-word buffered, which no later draw
+    reads, since every later draw is a double taken from a whole output.
     """
     size, sweeps = runs[0][0].size, runs[0][1].sweeps
     if any(problem.size != size or params.sweeps != sweeps for problem, params in runs):
@@ -198,16 +276,17 @@ def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleS
     neg_betas = np.empty((sweeps, reads))  # (sweep, read)
     w_rows = np.empty((size, size, reads))  # w_rows[l] holds row l of each read's pair matrix
     coupled = np.zeros((size, size), dtype=bool)
-    rngs = []
+    entropy = []
+    for _, params in runs:
+        words = _seed_words(params.seed)
+        entropy += [[*words, read] for read in range(params.num_reads)]
+    rngs = [np.random.Generator(np.random.PCG64(_Words(state))) for state in _seed_states(entropy)]
+    initial_bits = _initial_bits(rngs, size)
     stop = 0
     for problem, params in runs:
         start, stop = stop, stop + params.num_reads
-        seed_words = _seed_words(params.seed)
-        entropy = np.array([[*seed_words, read] for read in range(params.num_reads)], dtype=np.uint32)
-        run_rngs = [np.random.default_rng(words) for words in entropy]
-        run_q = np.stack([rng.integers(0, 2, size=size).astype(float) for rng in run_rngs])
+        run_q = initial_bits[start:stop].astype(float)
         w = problem.quadratic
-        rngs += run_rngs
         s[:, start:stop] = 1.0 - 2.0 * run_q.T
         # per-bit flip drive, maintained incrementally; one matmul per run rounds as a lone run does
         fields[:, start:stop] = (problem.linear[None, :] + run_q @ w).T
@@ -224,14 +303,15 @@ def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleS
     for l, nonzero in enumerate(coupled):  # bit l's span: the first to the last bit that some run couples to it
         lo, hi = (nonzero.argmax(), size - nonzero[::-1].argmax()) if nonzero.any() else (0, 0)
         rows.append((signed_betas[l], fields[l], flips[l], s[l], w_rows[l, lo:hi], fields[lo:hi], update[lo:hi]))
-    draws = np.empty((reads, _SWEEP_BLOCK, size))  # (read, sweep, bit)
+    sweep_block = max(1, min(sweeps, _DRAW_BYTES // max(8 * reads * size, 1)))
+    draws = np.empty((reads, sweep_block, size))  # (read, sweep, bit)
     accepts = draws.transpose(1, 2, 0)  # (sweep, bit, read) view
 
     # acceptance draws come in sweep blocks into one buffer to bound memory;
     # within each read the draw order is fixed, so blocking does not change the stream
     with np.errstate(over="ignore"):
-        for block_start in range(0, sweeps, _SWEEP_BLOCK):
-            block = min(_SWEEP_BLOCK, sweeps - block_start)
+        for block_start in range(0, sweeps, sweep_block):
+            block = min(sweep_block, sweeps - block_start)
             for rng, read_draws in zip(rngs, draws):
                 rng.random(out=read_draws[:block])
             for t in range(block):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qubogs.blocksolve import (
     BlockPartition,
     SolveConfig,
-    _derive_seed,
     _rhs,
     _saturated_vars,
     _split,
@@ -29,6 +28,11 @@ from qubogs.linear import LinearSystem, whole_number
 from qubogs.reference import _singular_values, condition_number, direct_solve, relative_error
 from qubogs.samplers import BACKENDS, SamplerParams, solve_exhaustive, solve_sa_many
 from qubogs.trace import IterationRecord, IterationTrace
+
+
+def block_seed(master: int, k: int, lo: int) -> int:
+    """The sampler seed of block solve (k, lo) of a run seeded ``master``, straight from numpy's SeedSequence."""
+    return int(np.random.SeedSequence((master, k, lo)).generate_state(1, dtype=np.uint64)[0])
 
 
 def exact_block_solver(sub, lo, hi):
@@ -113,7 +117,7 @@ def sequential_iterate_many(system: LinearSystem, configs: list[SolveConfig], ex
                 continue
             block_encs = {i: encs[i].slice(lo, hi) for i in active}
             problems = [encode(replace(sub, b=_rhs(sub, off, xs[i])), block_encs[i]) for i in active]
-            params = [replace(configs[i].sampler, seed=_derive_seed(configs[i].sampler.seed, k, lo)) for i in active]
+            params = [replace(configs[i].sampler, seed=block_seed(configs[i].sampler.seed, k, lo)) for i in active]
             pairs = list(zip(problems, params))
             results = solve_sa_many(pairs) if first.backend == "sa" else [backend(*pair) for pair in pairs]
             for i, result in zip(active, results):
@@ -504,7 +508,7 @@ class TestWavefront:
         offsets, period = _wavefront([(lo, hi, *_split(system, lo, hi)) for lo, hi in part.blocks])
         assert period == 2 and max(offsets) // period == 5
         solve_of = {
-            _derive_seed(c.sampler.seed, k, lo): (run, k, lo)
+            block_seed(c.sampler.seed, k, lo): (run, k, lo)
             for run, c in enumerate(configs)
             for k in range(1, c.max_iters + 10)
             for lo, _ in part.blocks
@@ -520,6 +524,22 @@ class TestWavefront:
             assert last_started - len(trace) <= max(offsets) // period
         assert [traces[0].converged, traces[1].converged, traces[2].converged] == [True, False, True]
         assert len(solves) > sum(len(trace) for trace in traces) * 27  # the converged runs left speculative solves behind
+
+    def test_block_seeds_of_every_width(self):
+        # run seeds of one to four words share the calls; with tol out of reach every run makes
+        # exactly its max_iters x blocks solves, each seeded SeedSequence((seed, k, lo))'s first word
+        system = assemble_system(HeatProblem(4))
+        seen = []
+
+        def recording(problem, params):
+            seen.append(params.seed)
+            return solve_exhaustive(problem)
+
+        seeds = (0, 2**32 - 1, 2**64 + 7, 2**127 + 11)
+        base = SolveConfig(blocks=3, bits=2, tol=1e-300, max_iters=4, backend=recording)
+        iterate_many(system, [replace(base, sampler=SamplerParams(seed=seed)) for seed in seeds])
+        want = [block_seed(seed, k, lo) for seed in seeds for k in range(1, 5) for lo, _ in partition(system.n, 3).blocks]
+        assert sorted(seen) == sorted(want), f"numpy {np.__version__}"
 
 
 class TestContractionOperators:

@@ -137,8 +137,10 @@ def test_sweep_lists_validated_before_running(tmp_path, capsys, key, value):
         ("solver", {"offset": "nan"}, "solver.offset"),
         ("solver", {"tol": "nan"}, "solver.tol"),
         ("solver", {"beta_initial": "nan", "beta_final": "10.0"}, "solver.beta_initial"),
+        # finite endpoints whose ratio overflows: every beta after the first would be inf
+        ("solver", {"backend": "sa", "beta_initial": "1e-300", "beta_final": "1e300"}, "solver: beta schedule requires a finite ratio"),
     ],
-    ids=["sources", "length", "scale", "offset", "tol", "beta_initial"],
+    ids=["sources", "length", "scale", "offset", "tol", "beta_initial", "beta_ratio"],
 )
 def test_nonfinite_config_values_rejected(tmp_path, capsys, section, keys, where):
     cfg_path = write_config(tmp_path / "cfg.ini", **{section: keys})

@@ -10,11 +10,15 @@ from qubogs.encoding import BinaryEncoding, QuboProblem, decode, encode
 from qubogs.heatgrid import HeatProblem, assemble_system
 from qubogs.linear import LinearSystem
 from qubogs.reference import direct_solve
+from qubogs import samplers
 from qubogs.samplers import (
-    _SWEEP_BLOCK,
+    _DRAW_BYTES,
     Sample,
     SampleSet,
     SamplerParams,
+    _initial_bits,
+    _seed_states,
+    _seed_words,
     default_beta_range,
     energy,
     solve_exhaustive,
@@ -177,6 +181,10 @@ def test_params_validation():
     for lo, hi in [(1.0, np.inf), (np.nan, np.nan), (np.nan, 1.0), (1.0, np.nan), (np.inf, np.inf)]:
         with pytest.raises(ValueError):
             SamplerParams(beta_initial=lo, beta_final=hi)
+    # finite endpoints whose ratio overflows would make every beta after the first inf
+    with pytest.raises(ValueError, match="ratio"):
+        SamplerParams(beta_initial=1e-300, beta_final=1e300)
+    assert SamplerParams(beta_initial=1e-300, beta_final=1e7).beta_final == 1e7
 
 
 def test_explicit_beta_schedule_used():
@@ -192,6 +200,57 @@ def test_sa_many_requires_shared_size_and_sweeps():
         solve_sa_many([(two, SamplerParams(sweeps=5)), (three, SamplerParams(sweeps=5))])
     with pytest.raises(ValueError, match="sweep"):
         solve_sa_many([(two, SamplerParams(sweeps=5)), (two, SamplerParams(sweeps=6))])
+
+
+NUMPY = f"numpy {np.__version__}"
+
+
+def test_seed_states_port_seed_sequence():
+    # all in one call: reads' (seed, read) of widths 2 to 5, which pad the pool with zeros, fill it
+    # and overflow it, and block solves' (seed, k, lo) of widths 3 to 6, seeded by the first word
+    seeds = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 3, 2**96 + 5, 2**127 + 11)
+    reads = [(seed, read) for seed in seeds for read in (0, 1, 2**32 - 1)]
+    blocks = [(seed, k, lo) for seed in seeds for k in (1, 60) for lo in (0, 72)]
+    states = _seed_states([[*_seed_words(seed), *rest] for seed, *rest in reads + blocks])
+    assert states.dtype == np.uint64 and states.flags.c_contiguous
+    for key, state in zip(reads + blocks, states):
+        sequence = np.random.SeedSequence(key)
+        assert np.array_equal(state, sequence.generate_state(4, np.uint64)), f"SeedSequence({key}) under {NUMPY}"
+        assert state[0] == sequence.generate_state(1, np.uint64)[0], f"SeedSequence({key}) under {NUMPY}"
+
+
+def test_initial_bits_match_integers_draws():
+    # every size from 0 to 70 bits, odd sizes leaving a buffered half-word behind; the doubles
+    # the kernel draws next must not notice the difference
+    for size in range(71):
+        ours = [np.random.default_rng((size, read)) for read in range(3)]
+        refs = [np.random.default_rng((size, read)) for read in range(3)]
+        bits = _initial_bits(ours, size)
+        want = np.stack([rng.integers(0, 2, size) for rng in refs])
+        assert bits.shape == want.shape and np.array_equal(bits, want), f"{size} bits under {NUMPY}"
+        for a, b in zip(ours, refs):
+            assert np.array_equal(a.random(5), b.random(5)), f"doubles after {size} bits under {NUMPY}"
+
+
+def test_oracle_sweeps_cross_several_draw_blocks():
+    # the loop oracle's largest runs (64 reads of up to 30 bits) anneal ORACLE_SWEEPS[-1]
+    # sweeps in at least three acceptance-draw blocks at the default budget
+    assert ORACLE_SWEEPS[-1] * max(ORACLE_READS) * 30 * 8 > 2 * _DRAW_BYTES
+
+
+@pytest.mark.parametrize("draw_bytes", [1, 8 * 64 * 17 * 7, 8 * 80 * 17 * 19], ids=["1-sweep", "7-sweep", "19-sweep"])
+def test_draw_blocks_of_any_length(monkeypatch, draw_bytes):
+    # blocks of 1 sweep, of 7 sweeps for the 64-read run alone and of 19 sweeps for the 80-read call
+    monkeypatch.setattr(samplers, "_DRAW_BYTES", draw_bytes)
+    rng = np.random.default_rng(draw_bytes)
+    # 40 sweeps each: 1 read; 15 reads with readout noise; 64 reads with explicit betas
+    runs = [(random_qubo(rng, 17), oracle_params(i, 40 + i)) for i in (1, 13, 25)]
+    for run in runs:
+        assert solve_sa(*run) == loop_solve_sa(*run), f"{run[1]}"
+    assert solve_sa_many(runs) == [loop_solve_sa(*run) for run in runs]
+
+
+LOOP_SWEEP_BLOCK = 16  # the loop's own draw chunking; a read's stream does not depend on it
 
 
 def loop_solve_sa(problem: QuboProblem, params: SamplerParams) -> SampleSet:
@@ -216,8 +275,8 @@ def loop_solve_sa(problem: QuboProblem, params: SamplerParams) -> SampleSet:
     rngs = [np.random.default_rng((params.seed, read)) for read in range(params.num_reads)]
     q = np.stack([rng.integers(0, 2, size=size).astype(float) for rng in rngs])
     fields = problem.linear[None, :] + q @ w
-    for block_start in range(0, params.sweeps, _SWEEP_BLOCK):
-        block = min(_SWEEP_BLOCK, params.sweeps - block_start)
+    for block_start in range(0, params.sweeps, LOOP_SWEEP_BLOCK):
+        block = min(LOOP_SWEEP_BLOCK, params.sweeps - block_start)
         accepts = np.stack([rng.random((block, size)) for rng in rngs])
         for t in range(block):
             beta = betas[block_start + t]
