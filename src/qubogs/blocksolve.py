@@ -82,8 +82,8 @@ class SolveConfig:
 
     blocks: int = 1
     bits: int = 3
-    scale: float | np.ndarray = 50.0
-    offset: float | np.ndarray = 0.0
+    scale: float = 50.0
+    offset: float = 0.0
     gamma: float = 1.0
     tol: float = 1e-10
     max_iters: int = 100
@@ -93,12 +93,19 @@ class SolveConfig:
     def __post_init__(self):
         for name in ("blocks", "bits", "max_iters"):
             setattr(self, name, whole_number(name, getattr(self, name)))
+        self.scale, self.offset = float(self.scale), float(self.offset)
+        if not (0.0 < self.scale < np.inf and np.isfinite(self.offset)):
+            raise ValueError("encoding scale must be positive and finite, and its offset finite")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("shrink factor gamma must lie in (0, 1]")
         if not 0.0 < self.tol < np.inf:
             raise ValueError("residual tolerance must be finite and positive")
-        if isinstance(self.backend, str) and self.backend != "exact" and self.backend not in BACKENDS:
+        if isinstance(self.backend, str) and not known_backend(self.backend):
             raise ValueError(f"unknown backend {self.backend!r}; expected 'exact', one of {sorted(BACKENDS)}, or a callable")
+
+
+def known_backend(name: str) -> bool:
+    return name == "exact" or name in BACKENDS
 
 
 def residual(system: LinearSystem, x) -> float:
@@ -206,13 +213,21 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     q < p, it sees x_q^(k) before it and x_q^(k-1) after it, as a sweep does.
     Each step's solves go to the backend grouped by block size: one stacked
     ``np.linalg.solve`` (exact), one ``solve_sa_many`` call (SA), or one call
-    per solve. Iteration k is complete at step c*k + max o; a run that has then
-    converged or reached ``max_iters`` leaves, and the speculative solves it
-    started for up to max o // c later iterations are dropped.
+    per solve, each QUBO solve in its config's window at block size (once k > 1
+    with gamma < 1, ``shrink_encoding``'s). Iteration k is complete at step
+    c*k + max o; a run that has then converged or reached ``max_iters`` leaves,
+    and the speculative solves it started for up to max o // c later iterations
+    are dropped. A bad ``x0`` or ``exact_solution`` raises before any solve.
     """
     if len({(c.blocks, c.bits, c.backend, c.sampler.sweeps) for c in configs}) != 1:
         raise ValueError("lockstep runs need at least one config, all sharing blocks, bits, backend and sweeps")
     n = system.n
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    if x.shape != (n,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"initial iterate x0 must be a finite vector of length {n}")
+    exact = None if exact_solution is None else np.asarray(exact_solution, dtype=float)
+    if exact is not None and not (exact.shape == (n,) and np.all(np.isfinite(exact)) and exact.any()):
+        raise ValueError(f"exact_solution must be a finite, nonzero vector of length {n}")
     first = configs[0]
     part = partition(n, first.blocks)
     # only the right-hand sides change from sweep to sweep, so each block is split once
@@ -224,17 +239,13 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
         for a in dense:
             _singular_values(a)  # rank test
     else:
-        backend: Backend = BACKENDS[first.backend] if isinstance(first.backend, str) else first.backend
         grams = [a.T @ a for a in dense]  # only b and the window change between a block's encodings
+        sample = None if first.backend == "sa" else BACKENDS[first.backend] if isinstance(first.backend, str) else first.backend
 
     is_absolute = float(np.linalg.norm(system.b)) == 0.0
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"initial iterate must have length {n}")
     xs = [x.copy() for _ in configs]  # each block's latest value, per run
-    initial = [BinaryEncoding(n, c.bits, *(np.full(n, v, dtype=float) for v in (c.scale, c.offset))) for c in configs]
-    # (run, k) -> x^(k), block energies and clipped blocks, filled in as iteration k's solves land
-    pending = defaultdict(lambda: (np.empty(n), [None] * len(splits), []))
+    # (run, k) -> x^(k) and each block's (best sample, window), filled in as iteration k's solves land
+    pending = defaultdict(lambda: (np.empty(n), [None] * len(splits)))
     records: list[list[IterationRecord]] = [[] for _ in configs]
     converged = [False] * len(configs)
     active = list(range(len(configs)))
@@ -244,7 +255,7 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
             k, rem = divmod(t - o, period)
             if not rem and 1 <= k <= configs[i].max_iters:
                 groups.setdefault(splits[p][1] - splits[p][0], []).append((i, k, p))
-        for group in groups.values():
+        for size, group in groups.items():
             rhs = [_rhs(*splits[p][2:], xs[i]) for i, _, p in group]
             if exact_backend:
                 values = np.linalg.solve(np.stack([dense[p] for _, _, p in group]), np.stack(rhs)[:, :, None])[:, :, 0]
@@ -254,29 +265,28 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
                 # each solve's seed: the first word of SeedSequence((seed, k, lo)); k and lo are single words
                 seeds = _seed_states([[*_seed_words(configs[i].sampler.seed), k, splits[p][0]] for i, k, p in group])[:, 0]
                 for (i, k, p), b, seed in zip(group, rhs, seeds.tolist()):
-                    lo, hi = splits[p][:2]
-                    config, window = configs[i], initial[i].slice(lo, hi)
-                    windows.append(window if config.gamma == 1.0 or k == 1 else shrink_encoding(window, xs[i][lo:hi], config.gamma, k))
+                    config, (lo, hi) = configs[i], splits[p][:2]
+                    window = BinaryEncoding(size, config.bits, np.full(size, config.scale), np.full(size, config.offset))
+                    windows.append(window if k == 1 or config.gamma == 1.0 else shrink_encoding(window, xs[i][lo:hi], config.gamma, k))
                     pairs.append((encode_dense(dense[p], grams[p], b, windows[-1]), replace(config.sampler, seed=seed)))
-                results = solve_sa_many(pairs) if first.backend == "sa" else [backend(*pair) for pair in pairs]
+                results = solve_sa_many(pairs) if sample is None else [sample(*pair) for pair in pairs]
                 bests = [result.best_sample for result in results]
                 values = [decode(best.bits, window) for best, window in zip(bests, windows)]
             for (i, k, p), value, best, window in zip(group, values, bests, windows):
                 lo, hi = splits[p][:2]
-                x_k, energies, clipped = pending[i, k]
+                x_k, landed = pending[i, k]
                 xs[i][lo:hi] = x_k[lo:hi] = value
-                if best is not None:
-                    energies[p] = best.energy
-                    if _saturated_vars(best.bits, window.n, window.bits):
-                        clipped.append(p)
+                landed[p] = best, window
         k, rem = divmod(t - max(offsets), period)
         for i in list(active) if not rem and k >= 1 else []:
             config = configs[i]
-            x_k, energies, clipped = pending.pop((i, k))
+            x_k, landed = pending.pop((i, k))
             r = residual(system, x_k)
-            err = relative_error(x_k, exact_solution) if exact_solution is not None else None
-            halfwidth = None if exact_backend else float((initial[i].scale * config.gamma ** (k - 1)).max())
-            records[i].append(IterationRecord(k, x_k, r, err, None if exact_backend else energies, sorted(clipped), halfwidth))
+            err = relative_error(x_k, exact) if exact is not None else None
+            energies = None if exact_backend else [best.energy for best, _ in landed]
+            clipped = [] if exact_backend else [p for p, (best, w) in enumerate(landed) if _saturated_vars(best.bits, w.n, w.bits)]
+            halfwidth = None if exact_backend else max(float(w.scale.max()) for _, w in landed)
+            records[i].append(IterationRecord(k, x_k, r, err, energies, clipped, halfwidth))
             converged[i] = r <= config.tol
             if converged[i] or k == config.max_iters:
                 active.remove(i)

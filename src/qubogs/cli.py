@@ -19,12 +19,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blocksolve import SolveConfig, iterate, iterate_many
+from .blocksolve import SolveConfig, iterate, iterate_many, known_backend
 from .encoding import estimate_resources
 from .heatgrid import HeatProblem, assemble_system, grid_to_field, named_boundary
 from .linear import LinearSystem
 from .reference import condition_number
-from .samplers import BACKENDS, EXHAUSTIVE_LIMIT, SamplerParams
+from .samplers import EXHAUSTIVE_LIMIT, SamplerParams
 from .trace import IterationTrace
 
 OUT_DIR_ENV = "QUBOGS_OUT_DIR"
@@ -67,12 +67,6 @@ class ExperimentConfig:
     out_dir: str
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str) -> str:
-    if parser.has_option(section, key):
-        return parser.get(section, key)
-    return DEFAULTS[section][key]
-
-
 def _parse(where: str, raw: str, kind, check=None, reason: str = ""):
     try:
         value = kind(raw)
@@ -83,10 +77,6 @@ def _parse(where: str, raw: str, kind, check=None, reason: str = ""):
     if check is not None and not check(value):
         raise ConfigError(where, (reason or "invalid value {!r}").format(raw))
     return value
-
-
-def _known_backend(name: str) -> bool:
-    return name == "exact" or name in BACKENDS
 
 
 def _parse_sources(raw: str) -> list[tuple[int, int, float]]:
@@ -117,6 +107,7 @@ def _parse_list(where: str, raw: str, kind, check=None, reason: str = "") -> lis
 
 def load_config(path: str, overrides: argparse.Namespace | None = None) -> ExperimentConfig:
     parser = configparser.ConfigParser()
+    parser.read_dict(DEFAULTS)
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -131,45 +122,44 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> Exper
             if key not in DEFAULTS[section]:
                 raise ConfigError(f"{section}.{key}", "unknown key")
 
-    m = _parse("problem.m", _get(parser, "problem", "m"), int, lambda v: v >= 2, "m must be >= 2")
-    length = _parse("problem.length", _get(parser, "problem", "length"), float, lambda v: v > 0, "length must be positive")
-    boundary_name = _get(parser, "problem", "boundary").strip()
+    m = _parse("problem.m", parser.get("problem", "m"), int, lambda v: v >= 2, "m must be >= 2")
+    length = _parse("problem.length", parser.get("problem", "length"), float, lambda v: v > 0, "length must be positive")
     try:
-        boundary = named_boundary(boundary_name, length)
-        sources = _parse_sources(_get(parser, "problem", "sources"))
+        boundary = named_boundary(parser.get("problem", "boundary").strip(), length)
+        sources = _parse_sources(parser.get("problem", "sources"))
         problem = HeatProblem(m, length, boundary, sources)
     except ValueError as exc:
         raise ConfigError("problem", str(exc)) from None
 
     flag_backend, flag_seed = getattr(overrides, "backend", None), getattr(overrides, "seed", None)
-    backend = flag_backend or _get(parser, "solver", "backend").strip()
-    backend = _parse("solver.backend", backend, str, _known_backend, "unknown backend {!r}")
-    seed = _parse("solver.seed", _get(parser, "solver", "seed"), int, lambda v: v >= 0, "seed must be >= 0")
+    backend = flag_backend or parser.get("solver", "backend").strip()
+    backend = _parse("solver.backend", backend, str, known_backend, "unknown backend {!r}")
+    seed = _parse("solver.seed", parser.get("solver", "seed"), int, lambda v: v >= 0, "seed must be >= 0")
     if flag_seed is not None:
         seed = flag_seed
 
-    beta_raw = (_get(parser, "solver", "beta_initial").strip(), _get(parser, "solver", "beta_final").strip())
+    beta_raw = (parser.get("solver", "beta_initial").strip(), parser.get("solver", "beta_final").strip())
     betas = (
         _parse("solver.beta_initial", beta_raw[0], float) if beta_raw[0] else None,
         _parse("solver.beta_final", beta_raw[1], float) if beta_raw[1] else None,
     )
     try:
         sampler = SamplerParams(
-            num_reads=_parse("solver.num_reads", _get(parser, "solver", "num_reads"), int),
-            sweeps=_parse("solver.sweeps", _get(parser, "solver", "sweeps"), int),
+            num_reads=_parse("solver.num_reads", parser.get("solver", "num_reads"), int),
+            sweeps=_parse("solver.sweeps", parser.get("solver", "sweeps"), int),
             beta_initial=betas[0],
             beta_final=betas[1],
             seed=seed,
-            noise_p=_parse("solver.noise_p", _get(parser, "solver", "noise_p"), float),
+            noise_p=_parse("solver.noise_p", parser.get("solver", "noise_p"), float),
         )
         solver = SolveConfig(
-            blocks=_parse("solver.blocks", _get(parser, "solver", "blocks"), int),
-            bits=_parse("solver.bits", _get(parser, "solver", "bits"), int, lambda v: v >= 1, "bits must be >= 1"),
-            scale=_parse("solver.scale", _get(parser, "solver", "scale"), float, lambda v: v > 0, "scale must be positive"),
-            offset=_parse("solver.offset", _get(parser, "solver", "offset"), float),
-            gamma=_parse("solver.gamma", _get(parser, "solver", "gamma"), float),
-            tol=_parse("solver.tol", _get(parser, "solver", "tol"), float),
-            max_iters=_parse("solver.max_iters", _get(parser, "solver", "max_iters"), int),
+            blocks=_parse("solver.blocks", parser.get("solver", "blocks"), int),
+            bits=_parse("solver.bits", parser.get("solver", "bits"), int, lambda v: v >= 1, "bits must be >= 1"),
+            scale=_parse("solver.scale", parser.get("solver", "scale"), float, lambda v: v > 0, "scale must be positive"),
+            offset=_parse("solver.offset", parser.get("solver", "offset"), float),
+            gamma=_parse("solver.gamma", parser.get("solver", "gamma"), float),
+            tol=_parse("solver.tol", parser.get("solver", "tol"), float),
+            max_iters=_parse("solver.max_iters", parser.get("solver", "max_iters"), int),
             backend=backend,
             sampler=sampler,
         )
@@ -178,12 +168,10 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> Exper
     if not 1 <= solver.blocks <= problem.n:
         raise ConfigError("solver.blocks", f"block count must satisfy 1 <= blocks <= {problem.n}")
 
-    bits = _parse_list("sweep.bits", _get(parser, "sweep", "bits"), int, lambda v: v >= 1, "bits must be >= 1")
-    gammas = _parse_list(
-        "sweep.gammas", _get(parser, "sweep", "gammas"), float, lambda v: 0.0 < v <= 1.0, "gamma must lie in (0, 1]"
-    )
-    backends = _parse_list("sweep.backends", _get(parser, "sweep", "backends"), str, _known_backend, "unknown backend {!r}")
-    seeds = _parse_list("sweep.seeds", _get(parser, "sweep", "seeds"), int, lambda v: v >= 0, "seeds must be >= 0")
+    bits = _parse_list("sweep.bits", parser.get("sweep", "bits"), int, lambda v: v >= 1, "bits must be >= 1")
+    gammas = _parse_list("sweep.gammas", parser.get("sweep", "gammas"), float, lambda v: 0.0 < v <= 1.0, "gamma must lie in (0, 1]")
+    backends = _parse_list("sweep.backends", parser.get("sweep", "backends"), str, known_backend, "unknown backend {!r}")
+    seeds = _parse_list("sweep.seeds", parser.get("sweep", "seeds"), int, lambda v: v >= 0, "seeds must be >= 0")
     # the flags pin a sweep to one seed or one backend
     if flag_seed is not None:
         seeds = [seed]
@@ -197,9 +185,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> Exper
     except ValueError as exc:
         raise ConfigError("sweep", str(exc)) from None
 
-    out_dir = (
-        getattr(overrides, "out_dir", None) or _get(parser, "output", "directory").strip() or os.environ.get(OUT_DIR_ENV) or "out"
-    )
+    out_dir = getattr(overrides, "out_dir", None) or parser.get("output", "directory").strip() or os.environ.get(OUT_DIR_ENV) or "out"
     return ExperimentConfig(problem=problem, solver=solver, sweep=sweep, out_dir=out_dir)
 
 

@@ -38,8 +38,9 @@ class BinaryEncoding:
     offset: np.ndarray
 
     def __post_init__(self):
-        self.scale = np.asarray(self.scale, dtype=float)
-        self.offset = np.asarray(self.offset, dtype=float)
+        # C order: a window laid out otherwise (a broadcast one, say) can round g @ offset differently
+        self.scale = np.asarray(self.scale, dtype=float, order="C")
+        self.offset = np.asarray(self.offset, dtype=float, order="C")
         for name in ("n", "bits"):
             setattr(self, name, whole_number(name, getattr(self, name)))
         if self.scale.shape != (self.n,) or self.offset.shape != (self.n,):

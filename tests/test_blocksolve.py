@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from qubogs import blocksolve
 from qubogs.blocksolve import (
     BlockPartition,
     SolveConfig,
@@ -420,6 +421,62 @@ class TestIterateExact:
         config = SolveConfig(blocks=3.0, bits=np.int64(2), max_iters=4.0)
         assert (config.blocks, config.bits, config.max_iters) == (3, 2, 4)
         assert all(type(v) is int for v in (config.blocks, config.bits, config.max_iters))
+
+    @pytest.mark.parametrize("backend", ["exact", "sa"])
+    @pytest.mark.parametrize(
+        "bad",
+        [{"scale": 0.0}, {"scale": -1.0}, {"scale": np.inf}, {"scale": np.nan}, {"offset": np.inf}, {"offset": np.nan}],
+        ids=["scale-zero", "scale-negative", "scale-inf", "scale-nan", "offset-inf", "offset-nan"],
+    )
+    def test_encoding_settings_checked_at_construction(self, backend, bad):
+        # checked for every backend, the exact one included, which never encodes a block
+        with pytest.raises(ValueError, match="scale must be positive and finite, and its offset finite"):
+            SolveConfig(backend=backend, **bad)
+
+    def test_encoding_settings_are_floats(self):
+        config = SolveConfig(scale=2, offset=np.float64(-1.5))
+        assert (config.scale, config.offset) == (2.0, -1.5)
+        assert type(config.scale) is float and type(config.offset) is float
+
+    def test_exact_backend_builds_no_encoding(self, demo_2x2, monkeypatch):
+        system, _ = demo_2x2
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return BinaryEncoding(*args)
+
+        monkeypatch.setattr(blocksolve, "BinaryEncoding", counting)
+        iterate(system, SolveConfig(blocks=2, tol=1e-300, max_iters=3, backend="exact"))
+        assert built == []
+        # the count does see a QUBO backend's windows: one per block per iteration
+        iterate(system, SolveConfig(blocks=2, tol=1e-300, max_iters=3, backend="exhaustive"))
+        assert len(built) == 6
+
+
+class TestIterateInputs:
+    """A bad ``x0`` or ``exact_solution`` raises ValueError naming it before the first block solve."""
+
+    NAN_AT_4 = np.where(np.arange(9) == 4, np.nan, 1.0)
+    CASES = {
+        "nonfinite-x0-exact": ("exact", {"x0": NAN_AT_4}, "x0"),
+        "nonfinite-x0-sa": ("sa", {"x0": np.where(np.arange(9) == 4, np.inf, 1.0)}, "x0"),
+        "short-zero-exact-solution": ("exact", {"exact_solution": np.zeros(5)}, "exact_solution"),
+        "short-exact-solution": ("exact", {"exact_solution": np.ones(5)}, "exact_solution"),
+        "nonfinite-exact-solution": ("exact", {"exact_solution": NAN_AT_4}, "exact_solution"),
+        "zero-exact-solution": ("exact", {"exact_solution": np.zeros(9)}, "exact_solution"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rejected_before_any_solve(self, case, monkeypatch):
+        backend, kwargs, name = self.CASES[case]
+        system = assemble_system(HeatProblem(4, sources=[(2, 2, 25.0)]))  # 9 unknowns
+        config = SolveConfig(blocks=3, bits=2, max_iters=5, backend=backend, sampler=SamplerParams(num_reads=2, sweeps=5))
+        solves = []
+        monkeypatch.setattr(blocksolve, "_rhs", lambda *args: solves.append(args) or _rhs(*args))
+        with pytest.raises(ValueError, match=name):
+            iterate(system, config, **kwargs)
+        assert solves == []
 
 
 class TestIterateMany:

@@ -279,6 +279,22 @@ class TestEncodeDense:
                 assert np.array_equal(got.quadratic, want.quadratic)
                 assert got.offset == want.offset
 
+    def test_window_layout_does_not_change_bits(self):
+        # a broadcast or strided window encodes bit for bit as its contiguous copy does
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            n = int(rng.integers(4, 13))
+            a = rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n)
+            b = rng.uniform(-10.0, 10.0, n)
+            scales = (rng.uniform(0.5, 2.0, 2 * n)[::2], np.broadcast_to(rng.uniform(0.5, 2.0), n))
+            offsets = (rng.uniform(-5.0, 5.0, 2 * n)[::2], np.broadcast_to(rng.uniform(-5.0, 5.0), n))
+            for scale, offset in ((s, o) for s in scales for o in offsets):
+                got = encode_dense(a, a.T @ a, b, BinaryEncoding(n, 3, scale, offset))
+                want = encode_dense(a, a.T @ a, b, BinaryEncoding(n, 3, scale.copy(), offset.copy()))
+                assert np.array_equal(got.linear, want.linear)
+                assert np.array_equal(got.quadratic, want.quadratic)
+                assert got.offset == want.offset
+
     def test_window_size_mismatch(self):
         a = np.eye(2)
         with pytest.raises(ValueError, match="encoding covers 3 variables but the system has 2"):
