@@ -22,7 +22,7 @@ from .encoding import (
     estimate_resources,
     required_bits,
 )
-from .heatgrid import HeatProblem, assemble_system, boundary_temperature, grid_to_field, named_boundary
+from .heatgrid import HeatProblem, assemble_system, boundary_temperature, grid_to_field
 from .linear import LinearSystem
 from .reference import (
     ConditionEstimate,
@@ -67,7 +67,6 @@ __all__ = [
     "gs_sweep",
     "iterate",
     "iterate_many",
-    "named_boundary",
     "partition",
     "relative_error",
     "required_bits",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .blocksolve import SolveConfig, iterate, iterate_many, known_backend
 from .encoding import estimate_resources
-from .heatgrid import HeatProblem, assemble_system, grid_to_field, named_boundary
+from .heatgrid import HeatProblem, assemble_system, grid_to_field
 from .linear import LinearSystem
 from .reference import condition_number
 from .samplers import EXHAUSTIVE_LIMIT, SamplerParams
@@ -125,9 +125,8 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> Exper
     m = _parse("problem.m", parser.get("problem", "m"), int, lambda v: v >= 2, "m must be >= 2")
     length = _parse("problem.length", parser.get("problem", "length"), float, lambda v: v > 0, "length must be positive")
     try:
-        boundary = named_boundary(parser.get("problem", "boundary").strip(), length)
         sources = _parse_sources(parser.get("problem", "sources"))
-        problem = HeatProblem(m, length, boundary, sources)
+        problem = HeatProblem(m, length, parser.get("problem", "boundary").strip(), sources)
     except ValueError as exc:
         raise ConfigError("problem", str(exc)) from None
 
@@ -177,13 +176,10 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> Exper
         seeds = [seed]
     if flag_backend:
         backends = [backend]
-    try:
-        sweep = [
-            replace(solver, backend=be, bits=r, gamma=g, sampler=replace(sampler, seed=s))
-            for be, r, g, s in itertools.product(backends, bits, gammas, seeds)
-        ]
-    except ValueError as exc:
-        raise ConfigError("sweep", str(exc)) from None
+    sweep = [
+        replace(solver, backend=be, bits=r, gamma=g, sampler=replace(sampler, seed=s))
+        for be, r, g, s in itertools.product(backends, bits, gammas, seeds)
+    ]
 
     out_dir = getattr(overrides, "out_dir", None) or parser.get("output", "directory").strip() or os.environ.get(OUT_DIR_ENV) or "out"
     return ExperimentConfig(problem=problem, solver=solver, sweep=sweep, out_dir=out_dir)
@@ -229,6 +225,13 @@ def _ground_truth(system: LinearSystem) -> tuple[float, np.ndarray | None]:
     return kappa, exact if float(np.linalg.norm(exact)) > 0.0 else None
 
 
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("output", f"cannot create {path!r}: {exc}") from None
+
+
 def run_solve(cfg: ExperimentConfig) -> int:
     if cfg.solver.backend == "exhaustive":
         qubits = estimate_resources(cfg.problem.n, cfg.solver.bits, cfg.solver.blocks).per_block_qubits
@@ -237,7 +240,7 @@ def run_solve(cfg: ExperimentConfig) -> int:
                 "solver.bits",
                 f"the largest block needs {qubits} binary variables, the exhaustive limit is {EXHAUSTIVE_LIMIT}",
             )
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     system = assemble_system(cfg.problem)
     kappa, exact = _ground_truth(system)
     trace = iterate(system, cfg.solver, exact_solution=exact)
@@ -273,7 +276,7 @@ def _combo_name(solver: SolveConfig) -> str:
 
 
 def run_sweep(cfg: ExperimentConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     system = assemble_system(cfg.problem)
     _, exact = _ground_truth(system)
 
@@ -361,8 +364,11 @@ def field_to_pgm(field: np.ndarray) -> tuple[str, str]:
 def run_render(field_csv: str, out_pgm: str) -> int:
     field = _read_field_csv(field_csv)
     pgm, preview = field_to_pgm(field)
-    with open(out_pgm, "w", newline="\n") as fh:
-        fh.write(pgm)
+    try:
+        with open(out_pgm, "w", newline="\n") as fh:
+            fh.write(pgm)
+    except OSError as exc:
+        raise ConfigError("render", f"cannot write {out_pgm!r}: {exc}") from None
     print(preview)
     return 0
 

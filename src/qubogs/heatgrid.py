@@ -40,27 +40,18 @@ def boundary_temperature(edge: str, s: float, length: float) -> float:
     return 100.0 * s / length
 
 
-def named_boundary(name: str, length: float) -> dict[str, EdgeProfile]:
-    """Boundary profile sets selectable by name in configs: the default ramp or all-zero."""
-    if name == "ramp":
-        return {edge: (lambda s, e=edge: boundary_temperature(e, s, length)) for edge in EDGES}
-    if name == "zero":
-        return {edge: (lambda s: 0.0) for edge in EDGES}
-    raise ValueError(f"unknown boundary profile {name!r}, expected 'ramp' or 'zero'")
-
-
 @dataclass
 class HeatProblem:
     """Square-plate steady heat problem: grid resolution, edge temperatures, point sources.
 
     ``sources`` lists (i, j, strength) right-hand-side contributions at interior
-    nodes, positive strength meaning a heat source. ``boundary`` maps each edge
-    name to a profile function; ``None`` selects the default ramp profile.
+    nodes, positive strength meaning a heat source. ``boundary`` maps each edge name to a
+    profile function, or is ``"zero"`` or ``"ramp"`` (``boundary_temperature`` at ``length``).
     """
 
     m: int
     length: float = 1.0
-    boundary: Mapping[str, EdgeProfile] | None = None
+    boundary: Mapping[str, EdgeProfile] | str = "ramp"
     sources: list[tuple[int, int, float]] = field(default_factory=list)
 
     def __post_init__(self):
@@ -69,10 +60,11 @@ class HeatProblem:
         self.m = int(self.m)
         if not 0.0 < self.length < math.inf:
             raise ValueError("plate side length must be positive and finite")
-        if self.boundary is not None:
-            missing = [e for e in EDGES if e not in self.boundary]
-            if missing:
-                raise ValueError(f"boundary profiles missing for edges {missing}")
+        if isinstance(self.boundary, str):
+            if self.boundary not in ("ramp", "zero"):
+                raise ValueError(f"unknown boundary profile {self.boundary!r}, expected 'ramp' or 'zero'")
+        elif missing := [e for e in EDGES if e not in self.boundary]:
+            raise ValueError(f"boundary profiles missing for edges {missing}")
         for i, j, strength in self.sources:
             if not (1 <= i <= self.m - 1 and 1 <= j <= self.m - 1):
                 raise ValueError(f"source at ({i}, {j}) is not an interior node of an m={self.m} grid")
@@ -87,9 +79,9 @@ class HeatProblem:
         return self.length * k / self.m
 
     def edge_value(self, edge: str, s: float) -> float:
-        if self.boundary is None:
+        if self.boundary == "ramp":
             return boundary_temperature(edge, s, self.length)
-        return float(self.boundary[edge](s))
+        return 0.0 if self.boundary == "zero" else float(self.boundary[edge](s))
 
     def row_of(self, i: int, j: int) -> int:
         """Row-major interior index: i runs fastest."""

@@ -91,11 +91,10 @@ def energy(problem: QuboProblem, bits) -> float:
 def default_beta_range(problem: QuboProblem) -> tuple[float, float]:
     # W is symmetric with a zero diagonal, so its entries have the magnitudes of the pairs
     mags = np.abs(np.concatenate([problem.linear, problem.quadratic.ravel()]))
-    largest = mags.max() if mags.size else 0.0
     nonzero = mags[mags > 0]
-    if largest == 0.0 or nonzero.size == 0:
+    if nonzero.size == 0:
         return 0.1, 10.0
-    return 0.1 / largest, 10.0 / float(nonzero.min())
+    return 0.1 / nonzero.max(), 10.0 / float(nonzero.min())
 
 
 def _bit_matrix(states: np.ndarray, size: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import os
 import subprocess
@@ -192,6 +193,49 @@ def test_overrides_and_env_dir(tmp_path, monkeypatch):
 
     assert cli.main(["solve", str(cfg_path), "--out-dir", str(tmp_path / "flagdir"), "--backend", "exact"]) == 0
     assert (tmp_path / "flagdir" / "summary.txt").exists()
+
+
+def test_out_dir_precedence(tmp_path, monkeypatch):
+    # --out-dir, then [output] directory, then QUBOGS_OUT_DIR, then "out"
+    empty = write_config(tmp_path / "empty.ini", output={"directory": ""})
+    named = write_config(tmp_path / "named.ini", output={"directory": "ini_dir"})
+    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+    assert cli.load_config(str(empty)).out_dir == "out"
+    monkeypatch.setenv(cli.OUT_DIR_ENV, "env_dir")
+    assert cli.load_config(str(empty)).out_dir == "env_dir"
+    assert cli.load_config(str(named)).out_dir == "ini_dir"
+    assert cli.load_config(str(named), argparse.Namespace(out_dir="flag_dir")).out_dir == "flag_dir"
+
+
+def test_unknown_boundary_name_is_a_config_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path / "cfg.ini", problem={"boundary": "hot"})
+    assert cli.main(["solve", str(cfg_path)]) == 1
+    assert "config error in problem: unknown boundary profile 'hot', expected 'ramp' or 'zero'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_uncreatable_out_dir_is_a_config_error(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    cfg_path = write_config(tmp_path / "cfg.ini")
+    assert cli.main([command, str(cfg_path), "--out-dir", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error in output: cannot create {str(taken)!r}: " in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "a file, not a directory\n"
+
+
+def test_render_to_unwritable_path_is_a_config_error(tmp_path, capsys):
+    field_csv = tmp_path / "field.csv"
+    field_csv.write_text("i,j,x,y,T\n0,0,0.0,0.0,1.0\n0,1,0.0,1.0,2.0\n1,0,1.0,0.0,3.0\n1,1,1.0,1.0,4.0\n")
+    out_pgm = tmp_path / "missing" / "dir" / "f.pgm"
+    assert cli.main(["render", str(field_csv), str(out_pgm)]) == 1
+    captured = capsys.readouterr()
+    assert f"config error in render: cannot write {str(out_pgm)!r}: " in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # no preview
+    assert not (tmp_path / "missing").exists()
 
 
 def test_sweep_flag_overrides_narrow_lists(tmp_path):

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qubogs.heatgrid import HeatProblem, assemble_system, boundary_temperature, grid_to_field, named_boundary
+from qubogs.heatgrid import HeatProblem, assemble_system, boundary_temperature, grid_to_field
 from qubogs.linear import LinearSystem
 from qubogs.reference import direct_solve
 
@@ -66,11 +67,12 @@ CUSTOM_BOUNDARY = {
     "right": lambda s: 7.0 * s + 0.7,
     "top": lambda s: math.exp(s) / 3.0,
 }
+# keyword arguments for HeatProblem; "default" passes no boundary at all
 BOUNDARIES = {
-    "default": lambda length: None,
-    "ramp": lambda length: named_boundary("ramp", length),
-    "zero": lambda length: named_boundary("zero", length),
-    "custom": lambda length: CUSTOM_BOUNDARY,
+    "default": {},
+    "ramp": {"boundary": "ramp"},
+    "zero": {"boundary": "zero"},
+    "custom": {"boundary": CUSTOM_BOUNDARY},
 }
 
 
@@ -100,12 +102,20 @@ def test_boundary_temperature_rejects_bad_input():
 
 
 def test_named_boundary():
-    zero = named_boundary("zero", 1.0)
-    assert all(zero[e](0.4) == 0.0 for e in zero)
-    ramp = named_boundary("ramp", 2.0)
-    assert ramp["top"](2.0) == 100.0
-    with pytest.raises(ValueError):
-        named_boundary("hot", 1.0)
+    zero = HeatProblem(3, 1.0, "zero")
+    assert all(zero.edge_value(e, 0.4) == 0.0 for e in ("bottom", "top", "left", "right"))
+    assert HeatProblem(3, 2.0, "ramp").edge_value("top", 2.0) == 100.0
+    with pytest.raises(ValueError, match="unknown boundary profile 'hot', expected 'ramp' or 'zero'"):
+        HeatProblem(3, 1.0, "hot")
+
+
+def test_ramp_follows_the_plate_length():
+    half = assemble_system(HeatProblem(4, 0.5, "ramp")).b
+    assert np.array_equal(half, assemble_system(HeatProblem(4, 0.5)).b)
+    assert half[-1] == 150.0
+    # the name is resolved at call time, so a replaced length takes the ramp with it
+    resized = dataclasses.replace(HeatProblem(4, 0.5, "ramp"), length=1.0)
+    assert np.array_equal(assemble_system(resized).b, assemble_system(HeatProblem(4, 1.0)).b)
 
 
 def test_single_interior_node():
@@ -124,7 +134,7 @@ def test_single_interior_node():
 
 
 def test_zero_boundaries_give_zero_solution():
-    system = assemble_system(HeatProblem(3, 1.0, named_boundary("zero", 1.0)))
+    system = assemble_system(HeatProblem(3, 1.0, "zero"))
     assert_allclose(system.b, 0.0)
     assert_allclose(direct_solve(system), 0.0)
 
@@ -211,7 +221,7 @@ def test_invalid_problems_rejected():
 
 
 def test_grid_to_field_zero_case():
-    problem = HeatProblem(3, 1.0, named_boundary("zero", 1.0))
+    problem = HeatProblem(3, 1.0, "zero")
     field = grid_to_field(np.zeros(4), problem)
     assert field.shape == (4, 4)
     assert_allclose(field, 0.0)
@@ -251,14 +261,13 @@ def test_array_assembly_matches_loop_oracle(boundary):
     rng = np.random.default_rng(2024)
     for m in range(2, 32):
         length = (1.0, 0.7, 2.5)[m % 3]
-        profiles = BOUNDARIES[boundary](length)
         for count in (m % 5, 4 - m % 5):
             nodes = rng.integers(1, m, size=(count, 2))
             nodes[::2, 0] = 1  # every other source next to the left edge
             nodes[1::4, 1] = m - 1  # some next to the top edge
             # the first node repeats, so one row takes two sources in list order
             sources = [(int(i), int(j), float(rng.uniform(-30.0, 30.0))) for i, j in [*nodes, *nodes[:1]]]
-            problem = HeatProblem(m, length, profiles, sources)
+            problem = HeatProblem(m, length, sources=sources, **BOUNDARIES[boundary])
             got, want = assemble_system(problem), loop_assemble_system(problem)
             for name in ("rows", "cols", "vals", "b"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (m, count, name)
