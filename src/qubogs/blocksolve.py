@@ -214,10 +214,13 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     Each step's solves go to the backend grouped by block size: one stacked
     ``np.linalg.solve`` (exact), one ``solve_sa_many`` call (SA), or one call
     per solve, each QUBO solve in its config's window at block size (once k > 1
-    with gamma < 1, ``shrink_encoding``'s). Iteration k is complete at step
-    c*k + max o; a run that has then converged or reached ``max_iters`` leaves,
-    and the speculative solves it started for up to max o // c later iterations
-    are dropped. A bad ``x0`` or ``exact_solution`` raises before any solve.
+    with gamma < 1, ``shrink_encoding``'s). The right-hand sides of every run
+    come from one gather and one ``np.bincount`` per step, bit for bit as
+    ``_rhs`` computes each; no solve of a step couples to another of that step.
+    Iteration k is complete at step c*k + max o; a run that has then converged
+    or reached ``max_iters`` leaves, and the speculative solves it started for
+    up to max o // c later iterations are dropped. A bad ``x0`` or
+    ``exact_solution`` raises before any solve.
     """
     if len({(c.blocks, c.bits, c.backend, c.sampler.sweeps) for c in configs}) != 1:
         raise ValueError("lockstep runs need at least one config, all sharing blocks, bits, backend and sweeps")
@@ -233,17 +236,26 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     # only the right-hand sides change from sweep to sweep, so each block is split once
     splits = [(lo, hi, *_split(system, lo, hi)) for lo, hi in part.blocks]
     offsets, period = _wavefront(splits)
+    due = [[p for p, o in enumerate(offsets) if o % period == r] for r in range(period)]  # step t solves blocks due[t % c]
     dense = [sub.to_dense() for _, _, sub, _ in splits]
+    sizes = np.array([hi - lo for lo, hi, _, _ in splits])
+    los = np.array([lo for lo, _, _, _ in splits])
+    # every off-block entry, row i's in the order _rhs meets them; row i of run j is bin j*n + i
+    off_cols, off_vals = (np.concatenate(part) for part in zip(*(off[1:] for *_, off in splits)))
+    bins = np.concatenate([lo + off[0] for lo, _, _, off in splits]) + n * np.arange(len(configs))[:, None]
     exact_backend = first.backend == "exact"
     if exact_backend:
         for a in dense:
             _singular_values(a)  # rank test
+        # the blocks of each size stacked once, in block order: block p is stacked[sizes[p]][slot[p]]
+        stacked = {size: np.stack([a for a in dense if len(a) == size]) for size in set(sizes.tolist())}
+        slot = np.array([np.count_nonzero(sizes[:p] == size) for p, size in enumerate(sizes)])
     else:
         grams = [a.T @ a for a in dense]  # only b and the window change between a block's encodings
         sample = None if first.backend == "sa" else BACKENDS[first.backend] if isinstance(first.backend, str) else first.backend
 
     is_absolute = float(np.linalg.norm(system.b)) == 0.0
-    xs = [x.copy() for _ in configs]  # each block's latest value, per run
+    xs = np.tile(x, (len(configs), 1))  # each block's latest value, per run
     # (run, k) -> x^(k) and each block's (best sample, window), filled in as iteration k's solves land
     pending = defaultdict(lambda: (np.empty(n), [None] * len(splits)))
     records: list[list[IterationRecord]] = [[] for _ in configs]
@@ -251,14 +263,18 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     active = list(range(len(configs)))
     for t in itertools.count(period):
         groups: dict[int, list[tuple[int, int, int]]] = {}
-        for (p, o), i in itertools.product(enumerate(offsets), active):
-            k, rem = divmod(t - o, period)
-            if not rem and 1 <= k <= configs[i].max_iters:
-                groups.setdefault(splits[p][1] - splits[p][0], []).append((i, k, p))
+        for p, i in itertools.product(due[t % period], active):
+            k = (t - offsets[p]) // period
+            if 1 <= k <= configs[i].max_iters:
+                groups.setdefault(int(sizes[p]), []).append((i, k, p))
+        # every run's right-hand sides at once, each row bit for bit as _rhs folds it
+        folded = np.bincount(bins.ravel(), (off_vals * xs[:, off_cols]).ravel(), minlength=xs.size)
+        rhs_all = system.b - folded.reshape(xs.shape)
         for size, group in groups.items():
-            rhs = [_rhs(*splits[p][2:], xs[i]) for i, _, p in group]
+            runs, _, ps = np.array(group).T
+            rhs = rhs_all[runs[:, None], los[ps, None] + np.arange(size)]
             if exact_backend:
-                values = np.linalg.solve(np.stack([dense[p] for _, _, p in group]), np.stack(rhs)[:, :, None])[:, :, 0]
+                values = np.linalg.solve(stacked[size][slot[ps]], rhs[:, :, None])[:, :, 0]
                 bests = windows = [None] * len(group)
             else:
                 pairs, windows = [], []

@@ -193,11 +193,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_text(path: str, text: str, where: str = "output") -> None:
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(where, f"cannot write {path!r}: {exc}") from None
+
+
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_trace(path: str, trace: IterationTrace) -> None:
@@ -219,7 +225,10 @@ def _field_rows(field: np.ndarray, problem: HeatProblem) -> list[list]:
 
 
 def _ground_truth(system: LinearSystem) -> tuple[float, np.ndarray | None]:
-    """kappa of A, and the exact solution (None when its norm vanishes); kappa's SVD is the solve's rank test."""
+    """kappa of A, and the exact solution (None when its norm vanishes).
+
+    kappa's singular values (``eigvalsh`` for a symmetric matrix, SVD otherwise) are the solve's rank test.
+    """
     kappa = condition_number(system).kappa
     exact = np.linalg.solve(system.to_dense(), system.b)
     return kappa, exact if float(np.linalg.norm(exact)) > 0.0 else None
@@ -266,8 +275,7 @@ def run_solve(cfg: ExperimentConfig) -> int:
         f"kappa={_fmt(kappa)}",
         f"clipped_total={clipped_total}",
     ]
-    with open(os.path.join(cfg.out_dir, "summary.txt"), "w", newline="\n") as fh:
-        fh.write("\n".join(summary) + "\n")
+    _write_text(os.path.join(cfg.out_dir, "summary.txt"), "\n".join(summary) + "\n")
     return 0 if trace.converged else 2
 
 
@@ -303,8 +311,7 @@ def run_sweep(cfg: ExperimentConfig) -> int:
         ["backend", "R", "D", "gamma", "seed", "k", "residual", "relative_error"],
         combined,
     )
-    with open(os.path.join(cfg.out_dir, "sweep_summary.txt"), "w", newline="\n") as fh:
-        fh.write("\n".join(status) + "\n")
+    _write_text(os.path.join(cfg.out_dir, "sweep_summary.txt"), "\n".join(status) + "\n")
     return 1 if failed else 0
 
 
@@ -364,11 +371,7 @@ def field_to_pgm(field: np.ndarray) -> tuple[str, str]:
 def run_render(field_csv: str, out_pgm: str) -> int:
     field = _read_field_csv(field_csv)
     pgm, preview = field_to_pgm(field)
-    try:
-        with open(out_pgm, "w", newline="\n") as fh:
-            fh.write(pgm)
-    except OSError as exc:
-        raise ConfigError("render", f"cannot write {out_pgm!r}: {exc}") from None
+    _write_text(out_pgm, pgm, "render")
     print(preview)
     return 0
 

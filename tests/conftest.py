@@ -23,3 +23,17 @@ def demo_2x2():
 
     system = LinearSystem.from_dense([[2.0, 1.0], [1.0, 2.0]], [3.0, 3.0])
     return system, np.array([1.0, 1.0])
+
+
+@pytest.fixture
+def singular_value_calls(monkeypatch):
+    """(routine, shape) of every ``np.linalg.svd`` and ``np.linalg.eigvalsh`` call, in order: one per pass of singular values."""
+    calls = []
+    for name in ("svd", "eigvalsh"):
+
+        def spy(a, *args, _name=name, _routine=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, a.shape))
+            return _routine(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls

@@ -312,26 +312,19 @@ class TestIterateExact:
         assert np.all(np.diff(trace.residuals) <= 0)
 
     @pytest.mark.parametrize("max_iters", [1, 25])
-    def test_rank_tests_each_block_once(self, heat_demo, monkeypatch, max_iters):
+    def test_rank_tests_each_block_once(self, heat_demo, monkeypatch, singular_value_calls, max_iters):
         _, system, _ = heat_demo
-        svd = np.linalg.svd
         post_init = LinearSystem.__post_init__
-        calls = []
         built = []
-
-        def spy(a, *args, **kwargs):
-            calls.append(a.shape)
-            return svd(a, *args, **kwargs)
 
         def count_builds(self):
             built.append(self.n)
             post_init(self)
 
-        monkeypatch.setattr(np.linalg, "svd", spy)
         monkeypatch.setattr(LinearSystem, "__post_init__", count_builds)
         trace = iterate(system, SolveConfig(blocks=9, tol=1e-12, max_iters=max_iters, backend="exact"))
         assert len(trace) == max_iters
-        assert calls == [(9, 9)] * 9
+        assert [shape for _, shape in singular_value_calls] == [(9, 9)] * 9
         # the blocks are split out once per solve, not rebuilt in every sweep
         assert built == [9] * 9
 
@@ -473,10 +466,19 @@ class TestIterateInputs:
         system = assemble_system(HeatProblem(4, sources=[(2, 2, 25.0)]))  # 9 unknowns
         config = SolveConfig(blocks=3, bits=2, max_iters=5, backend=backend, sampler=SamplerParams(num_reads=2, sweeps=5))
         solves = []
-        monkeypatch.setattr(blocksolve, "_rhs", lambda *args: solves.append(args) or _rhs(*args))
+
+        def spy(solve):
+            return lambda *args: solves.append(args) or solve(*args)
+
+        # every way a block solve reaches its backend: stacked LU (exact), batched SA, or a named sampler
+        monkeypatch.setattr(np.linalg, "solve", spy(np.linalg.solve))
+        monkeypatch.setattr(blocksolve, "solve_sa_many", spy(solve_sa_many))
+        monkeypatch.setitem(BACKENDS, "exhaustive", spy(BACKENDS["exhaustive"]))
         with pytest.raises(ValueError, match=name):
             iterate(system, config, **kwargs)
         assert solves == []
+        iterate(system, config)  # the spies do see a valid run's solves
+        assert solves
 
 
 class TestIterateMany:

@@ -150,17 +150,10 @@ def test_nonfinite_config_values_rejected(tmp_path, capsys, section, keys, where
     assert not (tmp_path / "out").exists()
 
 
-def test_solve_takes_one_full_svd(tmp_path, monkeypatch):
-    svd = np.linalg.svd
-    shapes = []
-
-    def spy(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
+def test_solve_takes_one_full_svd(tmp_path, singular_value_calls):
     cfg_path = write_config(tmp_path / "cfg.ini")  # 9 unknowns, exact backend in 3 blocks
     assert cli.main(["solve", str(cfg_path)]) == 0
+    shapes = [shape for _, shape in singular_value_calls]
     assert shapes.count((9, 9)) == 1
     assert shapes.count((3, 3)) == 3
 
@@ -224,6 +217,20 @@ def test_uncreatable_out_dir_is_a_config_error(tmp_path, capsys, command):
     assert f"config error in output: cannot create {str(taken)!r}: " in err
     assert "Traceback" not in err
     assert taken.read_text() == "a file, not a directory\n"
+
+
+@pytest.mark.parametrize("command, blocked", [("solve", "trace.csv"), ("sweep", "sweep.csv")])
+def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, command, blocked):
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)  # a directory where the file goes
+    cfg_path = write_config(tmp_path / "cfg.ini")
+    assert cli.main([command, str(cfg_path), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error in output: cannot write {str(out / blocked)!r}: " in err
+    assert "Traceback" not in err
+    assert (out / blocked).is_dir()
+    # the command stops at the file: nothing after it, the closing summary included, is written
+    assert not (out / "summary.txt").exists() and not (out / "sweep_summary.txt").exists()
 
 
 def test_render_to_unwritable_path_is_a_config_error(tmp_path, capsys):

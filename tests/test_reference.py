@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from qubogs.blocksolve import classical_gauss_seidel
+from qubogs.heatgrid import HeatProblem, assemble_system
 from qubogs.linear import LinearSystem
 from qubogs.reference import (
     SingularMatrixError,
+    _singular_values,
     condition_number,
     direct_solve,
     relative_error,
@@ -140,3 +144,39 @@ def test_condition_scalar_system():
     est = condition_number(LinearSystem.from_dense([[-3.5]], [1.0]))
     assert est.kappa == pytest.approx(1.0, rel=1e-9)
     assert est.sigma_max == pytest.approx(3.5, rel=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.sampled_from([0.0, 3.0, -3.0]),  # indefinite, or strictly diagonally dominant: positive or negative definite
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    hole=st.none() | st.integers(0, 29),
+)
+def test_symmetric_singular_values_match_svd(n, seed, shift, scale, hole):
+    b = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+    a = scale * (b + b.T + shift * n * np.eye(n))  # exactly symmetric: b_ij + b_ji == b_ji + b_ij
+    if hole is not None:
+        a[hole % n, :] = a[:, hole % n] = 0.0
+        with pytest.raises(SingularMatrixError):
+            _singular_values(a)
+        return
+    expected = np.linalg.svd(a, compute_uv=False)
+    assert_allclose(_singular_values(a), expected, rtol=0.0, atol=4 * n * np.finfo(float).eps * expected[0])
+
+
+def test_plate_condition_matches_closed_form():
+    # the 5-point plate's eigenvalues are 4 - 2cos(j pi/m) - 2cos(k pi/m), up to one common factor
+    m = 30
+    c = np.cos(np.pi / m)
+    assert condition_number(assemble_system(HeatProblem(m))).kappa == pytest.approx((1 + c) / (1 - c), rel=1e-11)
+
+
+def test_nonsymmetric_input_takes_the_svd(singular_value_calls):
+    a = np.array([[2.0, 1.0], [0.0, 3.0]])
+    sigma = _singular_values(a)
+    # sigma_max * sigma_min = |det A| and sigma_max^2 + sigma_min^2 = ||A||_F^2
+    assert_allclose([sigma[0] * sigma[1], sigma @ sigma], [6.0, 14.0], rtol=1e-14)
+    _singular_values(a + a.T)
+    assert [name for name, _ in singular_value_calls] == ["svd", "eigvalsh"]
