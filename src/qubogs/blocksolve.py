@@ -65,15 +65,9 @@ def partition(n: int, blocks: int) -> BlockPartition:
     blocks = whole_number("blocks", blocks)
     if blocks > n:
         raise ValueError(f"block count must satisfy 1 <= blocks <= {n}")
-    big = n % blocks
-    small_size = n // blocks
-    ranges = []
-    start = 0
-    for p in range(blocks):
-        size = small_size + 1 if p < big else small_size
-        ranges.append((start, start + size))
-        start += size
-    return BlockPartition(n, ranges)
+    small, big = divmod(n, blocks)
+    starts = [p * small + min(p, big) for p in range(blocks + 1)]  # np.array_split's boundaries
+    return BlockPartition(n, list(zip(starts, starts[1:])))
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """Config-driven experiment runner: single solves, parameter sweeps, field rendering.
 
 Configs are INI files with [problem], [solver], [sweep], and [output] sections;
-every key has a default matching the built-in demo (the ramp-heated plate with
-81 unknowns solved by simulated annealing in 9 blocks). Outputs are plain CSV
-and PGM files, byte-reproducible for a fixed config.
+every key has a default. The [problem] and [solver] defaults are the built-in
+demo's (the ramp-heated plate with 81 unknowns solved by simulated annealing in
+9 blocks); the [sweep] defaults run one combination (sa, R = 3, gamma = 0.8,
+seed 2024), where demo.ini sweeps 16. Outputs are plain CSV and PGM files,
+byte-reproducible for a fixed config.
 
 Exit codes: 0 success, 1 configuration error or a sweep combination that
 raised, 2 non-convergence (files are still written).
@@ -56,7 +58,6 @@ DEFAULTS = {
 class ConfigError(Exception):
     def __init__(self, where: str, message: str):
         super().__init__(f"{where}: {message}")
-        self.where = where
 
 
 @dataclass
@@ -354,6 +355,8 @@ def field_to_pgm(field: np.ndarray) -> tuple[str, str]:
     Image rows run from the top edge (largest y) down, columns left to right.
     """
     lo, hi = float(field.min()), float(field.max())
+    if not math.isfinite(hi - lo):
+        raise ConfigError("field", f"temperature span {hi!r} - {lo!r} is not finite")
     if hi > lo:
         levels = np.rint((field - lo) / (hi - lo) * 255.0).astype(int)
     else:

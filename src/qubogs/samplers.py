@@ -31,6 +31,7 @@ class SamplerParams:
 
     The automatic schedule spans beta_initial = 0.1 / max|coefficient| to
     beta_final = 10 / min nonzero |coefficient|, geometric over the sweeps.
+    Given or derived, beta_final / beta_initial must be finite (``geometric_betas``).
     ``noise_p`` flips each returned bit independently after annealing, a crude
     stand-in for hardware readout imperfections.
     """
@@ -49,8 +50,8 @@ class SamplerParams:
             raise ValueError("set both beta endpoints or neither")
         if self.beta_initial is not None and not 0.0 < self.beta_initial <= self.beta_final < np.inf:
             raise ValueError("beta schedule requires finite beta_final >= beta_initial > 0")
-        if self.beta_initial is not None and self.beta_final / self.beta_initial == np.inf:
-            raise ValueError("beta schedule requires a finite ratio beta_final / beta_initial")
+        if self.beta_initial is not None:
+            geometric_betas(self.beta_initial, self.beta_final, self.sweeps)  # the ratio rule of every schedule
         if not 0.0 <= self.noise_p < 1.0:
             raise ValueError("noise_p must lie in [0, 1)")
         if not 0 <= self.seed < np.inf or int(self.seed) != self.seed:
@@ -95,6 +96,13 @@ def default_beta_range(problem: QuboProblem) -> tuple[float, float]:
     if nonzero.size == 0:
         return 0.1, 10.0
     return 0.1 / nonzero.max(), 10.0 / float(nonzero.min())
+
+
+def geometric_betas(beta_initial: float, beta_final: float, sweeps: int) -> np.ndarray:
+    """The geometric beta of each sweep, for given endpoints or ``default_beta_range``'s; their ratio must be finite."""
+    if not beta_final / beta_initial < np.inf:  # else every beta after the first is inf
+        raise ValueError(f"beta schedule requires a finite ratio beta_final / beta_initial, got {beta_final:g} / {beta_initial:g}")
+    return beta_initial * (beta_final / beta_initial) ** (np.arange(sweeps) / max(sweeps - 1, 1))
 
 
 def _bit_matrix(states: np.ndarray, size: int) -> np.ndarray:
@@ -224,12 +232,15 @@ def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleS
     shares the call. Duplicate final bitstrings of a run aggregate into one
     sample with summed occurrences.
 
-    Layout: the kernel keeps spins ``s = 1 - 2q`` rather than bits. ``s``, the
-    fields, the signed betas and the updates are C-ordered ``(bit, read)``
-    buffers and the pair rows a C-ordered ``(bit, j, read)`` buffer, so every
-    per-bit step works on contiguous rows; the draws fill one
-    ``(read, sweep, bit)`` buffer per sweep block and are read through its
-    ``(sweep, bit, read)`` view.
+    Layout: run i holds reads ``bounds[i]:bounds[i + 1]`` of one cumulative
+    sum of the read counts. Its fields (one matmul per run), beta schedule
+    (given or derived endpoints, whose ratio must be finite) and pair rows are
+    built once and laid over its reads. The kernel keeps spins ``s = 1 - 2q``
+    rather than bits. ``s``, the fields, the signed betas and the updates are
+    C-ordered ``(bit, read)`` buffers and the pair rows a C-ordered
+    ``(bit, j, read)`` buffer, so every per-bit step works on contiguous rows;
+    the draws fill one ``(read, sweep, bit)`` buffer per sweep block and are
+    read through its ``(sweep, bit, read)`` view.
 
     It is exact against a per-read Metropolis loop. Multiplying by +-1 is
     exact, so ``(s * -beta) * field`` rounds as ``-beta * (s * field)`` does,
@@ -270,30 +281,22 @@ def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleS
     size, sweeps = runs[0][0].size, runs[0][1].sweeps
     if any(problem.size != size or params.sweeps != sweeps for problem, params in runs):
         raise ValueError("batched annealing runs must share problem size and sweep count")
-    reads = sum(params.num_reads for _, params in runs)
-    s, fields = np.empty((size, reads)), np.empty((size, reads))  # (bit, read)
+    bounds = list(itertools.accumulate((params.num_reads for _, params in runs), initial=0))
+    reads = bounds[-1]
+    entropy = [[*_seed_words(params.seed), read] for _, params in runs for read in range(params.num_reads)]
+    rngs = [np.random.Generator(np.random.PCG64(_Words(state))) for state in _seed_states(entropy)]
+    initial_q = _initial_bits(rngs, size).astype(float)  # (read, bit)
+    s = np.ascontiguousarray(1.0 - 2.0 * initial_q.T)  # (bit, read)
+    fields = np.empty((size, reads))  # (bit, read)
     neg_betas = np.empty((sweeps, reads))  # (sweep, read)
     w_rows = np.empty((size, size, reads))  # w_rows[l] holds row l of each read's pair matrix
     coupled = np.zeros((size, size), dtype=bool)
-    entropy = []
-    for _, params in runs:
-        words = _seed_words(params.seed)
-        entropy += [[*words, read] for read in range(params.num_reads)]
-    rngs = [np.random.Generator(np.random.PCG64(_Words(state))) for state in _seed_states(entropy)]
-    initial_bits = _initial_bits(rngs, size)
-    stop = 0
-    for problem, params in runs:
-        start, stop = stop, stop + params.num_reads
-        run_q = initial_bits[start:stop].astype(float)
+    for (problem, params), start, stop in zip(runs, bounds, bounds[1:]):
         w = problem.quadratic
-        s[:, start:stop] = 1.0 - 2.0 * run_q.T
         # per-bit flip drive, maintained incrementally; one matmul per run rounds as a lone run does
-        fields[:, start:stop] = (problem.linear[None, :] + run_q @ w).T
-        beta_lo, beta_hi = (params.beta_initial, params.beta_final)
-        if beta_lo is None:
-            beta_lo, beta_hi = default_beta_range(problem)
-        schedule = beta_lo * (beta_hi / beta_lo) ** (np.arange(sweeps) / max(sweeps - 1, 1))
-        neg_betas[:, start:stop] = -schedule[:, None]
+        fields[:, start:stop] = (problem.linear[None, :] + initial_q[start:stop] @ w).T
+        betas = default_beta_range(problem) if params.beta_initial is None else (params.beta_initial, params.beta_final)
+        neg_betas[:, start:stop] = -geometric_betas(*betas, sweeps)[:, None]
         w_rows[:, :, start:stop] = w[:, :, None]
         coupled |= w != 0.0
     signed_betas, flips, update = np.empty_like(s), np.empty(s.shape, dtype=bool), np.empty_like(fields)
@@ -329,9 +332,7 @@ def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleS
     q[:, :size] = (s < 0.0).T
 
     results = []
-    stop = 0
-    for problem, params in runs:
-        start, stop = stop, stop + params.num_reads
+    for (problem, params), start, stop in zip(runs, bounds, bounds[1:]):
         run_q = q[start:stop]
         if params.noise_p > 0:
             noise = np.stack([rng.random(size) for rng in rngs[start:stop]])

@@ -208,6 +208,12 @@ class TestPartition:
                 partition(9, bad)
         assert partition(9, 3.0).blocks == [(0, 3), (3, 6), (6, 9)]
 
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_ranges_are_array_split_boundaries(self, n):
+        for blocks in range(1, n + 1):
+            want = [(int(a[0]), int(a[-1]) + 1) for a in np.array_split(np.arange(n), blocks)]
+            assert partition(n, blocks).blocks == want, (n, blocks)
+
     def test_partition_validation(self):
         with pytest.raises(ValueError):
             BlockPartition(4, [(0, 2), (3, 4)])  # gap

@@ -245,6 +245,39 @@ def test_render_to_unwritable_path_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+def test_render_of_overflowing_span_is_a_config_error(tmp_path, capsys):
+    # each temperature is finite, but max - min overflows to inf
+    field_csv = tmp_path / "field.csv"
+    field_csv.write_text("i,j,x,y,T\n0,0,0.0,0.0,-1e308\n0,1,0.0,1.0,1e308\n1,0,1.0,0.0,0.0\n1,1,1.0,1.0,0.0\n")
+    out_pgm = tmp_path / "f.pgm"
+    assert cli.main(["render", str(field_csv), str(out_pgm)]) == 1
+    captured = capsys.readouterr()
+    assert "config error in field: " in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # no preview
+    assert not out_pgm.exists()
+
+
+def test_demo_restates_problem_and_solver_defaults(tmp_path):
+    empty = tmp_path / "empty.ini"
+    empty.write_text("")
+    demo, defaults = cli.load_config(str(Path(__file__).parents[1] / "demo.ini")), cli.load_config(str(empty))
+    assert (demo.problem, demo.solver) == (defaults.problem, defaults.solver)
+
+
+def test_sweep_reports_an_overflowing_derived_beta_range(tmp_path):
+    # 530 bits per unknown: the block QUBO's smallest pair coefficient is subnormal, so the derived
+    # beta_final = 10 / min |coefficient| is inf
+    cfg_path = write_config(
+        tmp_path / "cfg.ini",
+        solver={"backend": "sa", "blocks": 9, "bits": 530, "num_reads": 2, "sweeps": 5},
+        sweep={"bits": "530", "backends": "sa"},
+    )
+    assert cli.main(["sweep", str(cfg_path)]) == 1
+    status = (tmp_path / "out" / "sweep_summary.txt").read_text()
+    assert "error: beta schedule requires a finite ratio beta_final / beta_initial, got inf / " in status
+
+
 def test_sweep_flag_overrides_narrow_lists(tmp_path):
     cfg_path = write_config(
         tmp_path / "cfg.ini",

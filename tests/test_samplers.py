@@ -187,6 +187,14 @@ def test_params_validation():
     assert SamplerParams(beta_initial=1e-300, beta_final=1e7).beta_final == 1e7
 
 
+def test_derived_beta_ratio_must_be_finite():
+    # a subnormal coefficient makes default_beta_range's beta_final = 10 / 5e-324 overflow to inf
+    prob = QuboProblem(2, np.array([1.0, 5e-324]), np.zeros((2, 2)), 0.0)
+    assert default_beta_range(prob)[1] == np.inf
+    with pytest.raises(ValueError, match="finite ratio beta_final / beta_initial"):
+        solve_sa(prob, SamplerParams(num_reads=2, sweeps=5))
+
+
 def test_explicit_beta_schedule_used():
     _, prob = small_corpus()[1]
     a = solve_sa(prob, SamplerParams(num_reads=10, sweeps=40, seed=3, beta_initial=0.01, beta_final=20.0))
