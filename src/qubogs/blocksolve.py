@@ -5,9 +5,9 @@ order, solving the diagonal block against a right-hand side that uses
 already-updated values for earlier blocks and previous-iteration values for
 later ones. The diagonal blocks, their dense matrices and their off-block
 couplings are split out once per solve; a sweep only recomputes each block's
-right-hand side. A block is solved either exactly (rank-tested once) or by
-encoding it as a QUBO from its matrix and cached A^T A, sampling with a
-backend, and decoding the best sample.
+right-hand side. A block is solved either exactly (its inverse, rank-tested and
+taken once, times b) or by encoding it as a QUBO from its matrix and cached
+A^T A, sampling with a backend, and decoding the best sample.
 
 The block solves run on a wavefront schedule (Lamport's hyperplane method):
 solve (k, p) runs at step c*k + o_p, so blocks that do not couple are solved
@@ -206,15 +206,18 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     every run runs at step c*k + o_p. As o_q < o_p and o_p - o_q < c for coupled
     q < p, it sees x_q^(k) before it and x_q^(k-1) after it, as a sweep does.
     Each step's solves go to the backend grouped by block size: one stacked
-    ``np.linalg.solve`` (exact), one ``solve_sa_many`` call (SA), or one call
-    per solve, each QUBO solve in its config's window at block size (once k > 1
-    with gamma < 1, ``shrink_encoding``'s). The right-hand sides of every run
-    come from one gather and one ``np.bincount`` per step, bit for bit as
-    ``_rhs`` computes each; no solve of a step couples to another of that step.
-    Iteration k is complete at step c*k + max o; a run that has then converged
-    or reached ``max_iters`` leaves, and the speculative solves it started for
-    up to max o // c later iterations are dropped. A bad ``x0`` or
-    ``exact_solution`` raises before any solve.
+    ``np.matmul`` by the blocks' inverses (exact), one ``solve_sa_many`` call
+    (SA), or one call per solve, each QUBO solve in its config's window at block
+    size (once k > 1 with gamma < 1, ``shrink_encoding``'s). Each exact block
+    size's stack is inverted once per solve, after the rank test; a block solve
+    then errs by O(kappa(A_pp) eps) relative, not LU's backward-stable error,
+    and the next sweep corrects it, as in iterative refinement. The right-hand
+    sides of every run come from one gather and one ``np.bincount`` per step,
+    bit for bit as ``_rhs`` computes each; no solve of a step couples to another
+    of that step. Iteration k is complete at step c*k + max o; a run that has
+    then converged or reached ``max_iters`` leaves, and the speculative solves
+    it started for up to max o // c later iterations are dropped. A bad ``x0``
+    or ``exact_solution`` raises before any solve.
     """
     if len({(c.blocks, c.bits, c.backend, c.sampler.sweeps) for c in configs}) != 1:
         raise ValueError("lockstep runs need at least one config, all sharing blocks, bits, backend and sweeps")
@@ -241,8 +244,8 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     if exact_backend:
         for a in dense:
             _singular_values(a)  # rank test
-        # the blocks of each size stacked once, in block order: block p is stacked[sizes[p]][slot[p]]
-        stacked = {size: np.stack([a for a in dense if len(a) == size]) for size in set(sizes.tolist())}
+        # each size's block inverses, stacked once in block order: block p's is inverses[sizes[p]][slot[p]]
+        inverses = {size: np.linalg.inv(np.stack([a for a in dense if len(a) == size])) for size in set(sizes.tolist())}
         slot = np.array([np.count_nonzero(sizes[:p] == size) for p, size in enumerate(sizes)])
     else:
         grams = [a.T @ a for a in dense]  # only b and the window change between a block's encodings
@@ -268,7 +271,7 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
             runs, _, ps = np.array(group).T
             rhs = rhs_all[runs[:, None], los[ps, None] + np.arange(size)]
             if exact_backend:
-                values = np.linalg.solve(stacked[size][slot[ps]], rhs[:, :, None])[:, :, 0]
+                values = np.matmul(inverses[size][slot[ps]], rhs[:, :, None])[:, :, 0]
                 bests = windows = [None] * len(group)
             else:
                 pairs, windows = [], []

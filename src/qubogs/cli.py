@@ -107,7 +107,7 @@ def _parse_list(where: str, raw: str, kind, check=None, reason: str = "") -> lis
 
 
 def load_config(path: str, overrides: argparse.Namespace | None = None) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))  # not ";", which separates sources
     parser.read_dict(DEFAULTS)
     try:
         with open(path) as fh:

@@ -68,7 +68,7 @@ def loop_gauss_seidel(
             for e in range(starts[i], starts[i + 1]):
                 if cols[e] != i:
                     s += vals[e] * x[cols[e]]
-            x[i] = (b[i] - s) / diag[i]
+            x[i] = (1.0 / diag[i]) * (b[i] - s)  # the 1x1 block's inverse times its right-hand side
         r = float(np.linalg.norm(system.matvec(x) - b)) / denom
         err = None
         if exact_solution is not None:
@@ -95,6 +95,7 @@ def sequential_iterate_many(system: LinearSystem, configs: list[SolveConfig], ex
         dense = [sub.to_dense() for _, _, sub, _ in splits]
         for a in dense:
             _singular_values(a)  # rank test
+        inverses = [np.linalg.inv(a) for a in dense]
     else:
         backend = BACKENDS[first.backend] if isinstance(first.backend, str) else first.backend
 
@@ -114,7 +115,7 @@ def sequential_iterate_many(system: LinearSystem, configs: list[SolveConfig], ex
         for p, (lo, hi, sub, off) in enumerate(splits):
             if exact_backend:
                 for i in active:
-                    xs[i][lo:hi] = np.linalg.solve(dense[p], _rhs(sub, off, xs[i]))
+                    xs[i][lo:hi] = inverses[p] @ _rhs(sub, off, xs[i])
                 continue
             block_encs = {i: encs[i].slice(lo, hi) for i in active}
             problems = [encode(replace(sub, b=_rhs(sub, off, xs[i])), block_encs[i]) for i in active]
@@ -334,6 +335,37 @@ class TestIterateExact:
         # the blocks are split out once per solve, not rebuilt in every sweep
         assert built == [9] * 9
 
+    @pytest.mark.parametrize("max_iters", [1, 25])
+    def test_inverts_each_block_size_once(self, monkeypatch, max_iters):
+        system = sourced_plate()  # in 10 blocks: one of 9 unknowns, nine of 8
+        shapes = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or inv(a))
+        trace = iterate(system, SolveConfig(blocks=10, tol=1e-300, max_iters=max_iters, backend="exact"))
+        assert len(trace) == max_iters
+        assert sorted(shapes) == [(1, 9, 9), (9, 8, 8)]
+        # the QUBO backends invert nothing
+        shapes.clear()
+        qubo = SolveConfig(blocks=10, bits=1, tol=1e-300, max_iters=max_iters, sampler=SamplerParams(num_reads=2, sweeps=5))
+        for backend in ("sa", "exhaustive"):
+            iterate(system, replace(qubo, backend=backend))
+        assert shapes == []
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 30), st.floats(0.05, 1.0), st.floats(-3.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_block_solve_within_kappa_n_eps_of_lu(self, n, density, log_margin, seed):
+        # one block and one sweep is one block solve: the inverse times b, which lies within
+        # O(kappa(A) n eps) relative of LU's solve; the factor 2 covers n = 1, where (1/a) * b
+        # and b / a round three times in all
+        rng = np.random.default_rng(seed)
+        a = np.where(rng.random((n, n)) < density, rng.uniform(-2.0, 2.0, (n, n)), 0.0)
+        np.fill_diagonal(a, 0.0)
+        np.fill_diagonal(a, rng.choice([-1.0, 1.0], n) * (np.abs(a).sum(axis=1) + 10.0**log_margin))
+        b = rng.uniform(-10.0, 10.0, n)
+        x = iterate(LinearSystem.from_dense(a, b), SolveConfig(blocks=1, tol=1e-300, max_iters=1)).records[0].x
+        lu = np.linalg.solve(a, b)
+        assert np.linalg.norm(x - lu) <= 2.0 * np.linalg.cond(a) * n * np.finfo(float).eps * np.linalg.norm(lu)
+
     @pytest.mark.parametrize("blocks", [9, 10])
     def test_matches_chained_gs_sweep(self, blocks):
         problem = HeatProblem(10, sources=[(2, 3, 25.0), (7, 8, -15.0)])
@@ -343,7 +375,7 @@ class TestIterateExact:
         assert len(trace) == 40
         x = np.zeros(system.n)
         for rec in trace.records:
-            x = gs_sweep(system, part, x, lambda sub, lo, hi: np.linalg.solve(sub.to_dense(), sub.b))
+            x = gs_sweep(system, part, x, lambda sub, lo, hi: np.linalg.inv(sub.to_dense()) @ sub.b)
             assert np.array_equal(rec.x, x)
 
     def test_singular_block_raises(self):
@@ -476,8 +508,8 @@ class TestIterateInputs:
         def spy(solve):
             return lambda *args: solves.append(args) or solve(*args)
 
-        # every way a block solve reaches its backend: stacked LU (exact), batched SA, or a named sampler
-        monkeypatch.setattr(np.linalg, "solve", spy(np.linalg.solve))
+        # every way a block solve reaches its backend: the inverse stack (exact), batched SA, or a named sampler
+        monkeypatch.setattr(np.linalg, "inv", spy(np.linalg.inv))
         monkeypatch.setattr(blocksolve, "solve_sa_many", spy(solve_sa_many))
         monkeypatch.setitem(BACKENDS, "exhaustive", spy(BACKENDS["exhaustive"]))
         with pytest.raises(ValueError, match=name):

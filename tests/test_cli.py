@@ -265,6 +265,15 @@ def test_demo_restates_problem_and_solver_defaults(tmp_path):
     assert (demo.problem, demo.solver) == (defaults.problem, defaults.solver)
 
 
+def test_readme_key_block_loads_as_the_defaults(tmp_path):
+    # the README's "All keys" block, its trailing "# ..." comments included, spells out the empty config
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed, empty = tmp_path / "listed.ini", tmp_path / "empty.ini"
+    listed.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    empty.write_text("")
+    assert cli.load_config(str(listed)) == cli.load_config(str(empty))
+
+
 def test_sweep_reports_an_overflowing_derived_beta_range(tmp_path):
     # 530 bits per unknown: the block QUBO's smallest pair coefficient is subnormal, so the derived
     # beta_final = 10 / min |coefficient| is inf
