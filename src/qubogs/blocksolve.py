@@ -94,12 +94,8 @@ class SolveConfig:
             raise ValueError("shrink factor gamma must lie in (0, 1]")
         if not 0.0 < self.tol < np.inf:
             raise ValueError("residual tolerance must be finite and positive")
-        if isinstance(self.backend, str) and not known_backend(self.backend):
+        if isinstance(self.backend, str) and self.backend != "exact" and self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; expected 'exact', one of {sorted(BACKENDS)}, or a callable")
-
-
-def known_backend(name: str) -> bool:
-    return name == "exact" or name in BACKENDS
 
 
 def residual(system: LinearSystem, x) -> float:

@@ -7,6 +7,10 @@ demo's (the ramp-heated plate with 81 unknowns solved by simulated annealing in
 seed 2024), where demo.ini sweeps 16. Outputs are plain CSV and PGM files,
 byte-reproducible for a fixed config.
 
+``load_config`` turns the text, taken literally (no "%" interpolation), into
+typed values. The constructors that take them decide which are valid, and
+``load_config`` reports a rejection under the key or section it came from.
+
 Exit codes: 0 success, 1 configuration error or a sweep combination that
 raised, 2 non-convergence (files are still written).
 """
@@ -21,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blocksolve import SolveConfig, iterate, iterate_many, known_backend
+from .blocksolve import SolveConfig, iterate, iterate_many
 from .encoding import estimate_resources
 from .heatgrid import HeatProblem, assemble_system, grid_to_field
 from .linear import LinearSystem
@@ -68,16 +72,27 @@ class ExperimentConfig:
     out_dir: str
 
 
-def _parse(where: str, raw: str, kind, check=None, reason: str = ""):
+def _parse(where: str, raw: str, kind):
+    """``raw`` as a ``kind`` (a float must be finite); the constructor that takes it judges the value."""
     try:
         value = kind(raw)
     except (TypeError, ValueError):
         raise ConfigError(where, f"cannot parse {raw!r}") from None
     if kind is float and not math.isfinite(value):
         raise ConfigError(where, f"{raw!r} is not a finite number")
-    if check is not None and not check(value):
-        raise ConfigError(where, (reason or "invalid value {!r}").format(raw))
     return value
+
+
+def _parse_keys(section: str, raw: dict, **kinds) -> dict:
+    return {key: _parse(f"{section}.{key}", raw[key], kind) for key, kind in kinds.items()}
+
+
+def _checked(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with its ValueError reported as a config error in ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(where, str(exc)) from None
 
 
 def _parse_sources(raw: str) -> list[tuple[int, int, float]]:
@@ -93,13 +108,13 @@ def _parse_sources(raw: str) -> list[tuple[int, int, float]]:
     return sources
 
 
-def _parse_list(where: str, raw: str, kind, check=None, reason: str = "") -> list:
+def _parse_list(where: str, raw: str, kind) -> list:
     items = [p.strip() for p in raw.split(",") if p.strip()]
     if not items:
         raise ConfigError(where, "list must not be empty")
     values = []
     for p in items:
-        value = _parse(where, p, kind, check, reason)
+        value = _parse(where, p, kind)
         if value in values:
             raise ConfigError(where, f"repeated entry {p!r}")
         values.append(value)
@@ -107,7 +122,8 @@ def _parse_list(where: str, raw: str, kind, check=None, reason: str = "") -> lis
 
 
 def load_config(path: str, overrides: argparse.Namespace | None = None) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))  # not ";", which separates sources
+    # "#" starts a comment, not ";", which separates sources; values are literal, with no "%" interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     parser.read_dict(DEFAULTS)
     try:
         with open(path) as fh:
@@ -122,64 +138,44 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> Exper
         for key in parser.options(section):
             if key not in DEFAULTS[section]:
                 raise ConfigError(f"{section}.{key}", "unknown key")
+    problem_ini, solver_ini, sweep_ini = (dict(parser.items(section)) for section in ("problem", "solver", "sweep"))
 
-    m = _parse("problem.m", parser.get("problem", "m"), int, lambda v: v >= 2, "m must be >= 2")
-    length = _parse("problem.length", parser.get("problem", "length"), float, lambda v: v > 0, "length must be positive")
-    try:
-        sources = _parse_sources(parser.get("problem", "sources"))
-        problem = HeatProblem(m, length, parser.get("problem", "boundary").strip(), sources)
-    except ValueError as exc:
-        raise ConfigError("problem", str(exc)) from None
+    # the constructors judge the values, in steps that each add the keys their label names
+    m = _parse("problem.m", problem_ini["m"], int)
+    _checked("problem.m", HeatProblem, m)
+    length = _parse("problem.length", problem_ini["length"], float)
+    _checked("problem.length", HeatProblem, m, length)
+    boundary = problem_ini["boundary"].strip()
+    problem = _checked("problem", lambda: HeatProblem(m, length, boundary, _parse_sources(problem_ini["sources"])))
 
     flag_backend, flag_seed = getattr(overrides, "backend", None), getattr(overrides, "seed", None)
-    backend = flag_backend or parser.get("solver", "backend").strip()
-    backend = _parse("solver.backend", backend, str, known_backend, "unknown backend {!r}")
-    seed = _parse("solver.seed", parser.get("solver", "seed"), int, lambda v: v >= 0, "seed must be >= 0")
+    backend = flag_backend or solver_ini["backend"].strip()
+    _checked("solver.backend", SolveConfig, backend=backend)
+    beta_kinds = {key: float for key in ("beta_initial", "beta_final") if solver_ini[key].strip()}  # empty: derived
+    sampler_keys = _parse_keys("solver", solver_ini, **beta_kinds, num_reads=int, sweeps=int, seed=int, noise_p=float)
+    sampler = _checked("solver", SamplerParams, **sampler_keys)  # judges the file's seed also where --seed replaces it
     if flag_seed is not None:
-        seed = flag_seed
-
-    beta_raw = (parser.get("solver", "beta_initial").strip(), parser.get("solver", "beta_final").strip())
-    betas = (
-        _parse("solver.beta_initial", beta_raw[0], float) if beta_raw[0] else None,
-        _parse("solver.beta_final", beta_raw[1], float) if beta_raw[1] else None,
+        sampler = _checked("solver", replace, sampler, seed=flag_seed)
+    solver_keys = _parse_keys(
+        "solver", solver_ini, blocks=int, bits=int, scale=float, offset=float, gamma=float, tol=float, max_iters=int
     )
-    try:
-        sampler = SamplerParams(
-            num_reads=_parse("solver.num_reads", parser.get("solver", "num_reads"), int),
-            sweeps=_parse("solver.sweeps", parser.get("solver", "sweeps"), int),
-            beta_initial=betas[0],
-            beta_final=betas[1],
-            seed=seed,
-            noise_p=_parse("solver.noise_p", parser.get("solver", "noise_p"), float),
-        )
-        solver = SolveConfig(
-            blocks=_parse("solver.blocks", parser.get("solver", "blocks"), int),
-            bits=_parse("solver.bits", parser.get("solver", "bits"), int, lambda v: v >= 1, "bits must be >= 1"),
-            scale=_parse("solver.scale", parser.get("solver", "scale"), float, lambda v: v > 0, "scale must be positive"),
-            offset=_parse("solver.offset", parser.get("solver", "offset"), float),
-            gamma=_parse("solver.gamma", parser.get("solver", "gamma"), float),
-            tol=_parse("solver.tol", parser.get("solver", "tol"), float),
-            max_iters=_parse("solver.max_iters", parser.get("solver", "max_iters"), int),
-            backend=backend,
-            sampler=sampler,
-        )
-    except ValueError as exc:
-        raise ConfigError("solver", str(exc)) from None
-    if not 1 <= solver.blocks <= problem.n:
+    solver = _checked("solver", SolveConfig, **solver_keys, backend=backend, sampler=sampler)
+    if solver.blocks > problem.n:
         raise ConfigError("solver.blocks", f"block count must satisfy 1 <= blocks <= {problem.n}")
 
-    bits = _parse_list("sweep.bits", parser.get("sweep", "bits"), int, lambda v: v >= 1, "bits must be >= 1")
-    gammas = _parse_list("sweep.gammas", parser.get("sweep", "gammas"), float, lambda v: 0.0 < v <= 1.0, "gamma must lie in (0, 1]")
-    backends = _parse_list("sweep.backends", parser.get("sweep", "backends"), str, known_backend, "unknown backend {!r}")
-    seeds = _parse_list("sweep.seeds", parser.get("sweep", "seeds"), int, lambda v: v >= 0, "seeds must be >= 0")
+    # each [sweep] entry goes through the constructor it ends up in, also where a flag replaces its list
+    lists = {}
+    for key, kind, field in (("bits", int, "bits"), ("gammas", float, "gamma"), ("backends", str, "backend")):
+        lists[key] = _parse_list(f"sweep.{key}", sweep_ini[key], kind)
+        for value in lists[key]:
+            _checked(f"sweep.{key}", replace, solver, **{field: value})
+    samplers = [_checked("sweep.seeds", replace, sampler, seed=s) for s in _parse_list("sweep.seeds", sweep_ini["seeds"], int)]
     # the flags pin a sweep to one seed or one backend
-    if flag_seed is not None:
-        seeds = [seed]
-    if flag_backend:
-        backends = [backend]
+    backends = [backend] if flag_backend else lists["backends"]
+    samplers = [sampler] if flag_seed is not None else samplers
     sweep = [
-        replace(solver, backend=be, bits=r, gamma=g, sampler=replace(sampler, seed=s))
-        for be, r, g, s in itertools.product(backends, bits, gammas, seeds)
+        replace(solver, backend=be, bits=r, gamma=g, sampler=sp)
+        for be, r, g, sp in itertools.product(backends, lists["bits"], lists["gammas"], samplers)
     ]
 
     out_dir = getattr(overrides, "out_dir", None) or parser.get("output", "directory").strip() or os.environ.get(OUT_DIR_ENV) or "out"

@@ -150,6 +150,74 @@ def test_nonfinite_config_values_rejected(tmp_path, capsys, section, keys, where
     assert not (tmp_path / "out").exists()
 
 
+# One out-of-range value per key. The constructor that takes a value judges it;
+# the label is the key where load_config checks it in a step of its own, else
+# the section. Flags replace values, but the file's values are still judged.
+LABEL_CASES = [
+    ("problem", {"m": "1"}, [], "problem.m"),
+    ("problem", {"length": "-1.0"}, [], "problem.length"),
+    ("problem", {"boundary": "hot"}, [], "problem"),
+    ("problem", {"sources": "9,9,1.0"}, [], "problem"),
+    ("solver", {"backend": "annealer"}, [], "solver.backend"),
+    ("solver", {"blocks": "0"}, [], "solver"),
+    ("solver", {"blocks": "10"}, [], "solver.blocks"),
+    ("solver", {"bits": "0"}, [], "solver"),
+    ("solver", {"scale": "0.0"}, [], "solver"),
+    ("solver", {"offset": "inf"}, [], "solver.offset"),
+    ("solver", {"gamma": "1.5"}, [], "solver"),
+    ("solver", {"tol": "0.0"}, [], "solver"),
+    ("solver", {"max_iters": "0"}, [], "solver"),
+    ("solver", {"num_reads": "0"}, [], "solver"),
+    ("solver", {"sweeps": "0"}, [], "solver"),
+    ("solver", {"beta_initial": "0.0", "beta_final": "10.0"}, [], "solver"),
+    ("solver", {"beta_initial": "1.0", "beta_final": "0.5"}, [], "solver"),
+    ("solver", {"noise_p": "1.0"}, [], "solver"),
+    ("solver", {"seed": "-1"}, [], "solver"),
+    ("sweep", {"bits": "0"}, [], "sweep.bits"),
+    ("sweep", {"gammas": "1.5"}, [], "sweep.gammas"),
+    ("sweep", {"backends": "annealer"}, [], "sweep.backends"),
+    ("sweep", {"seeds": "-1"}, [], "sweep.seeds"),
+    ("solver", {"seed": "-1"}, ["--seed", "5"], "solver"),
+    ("sweep", {"seeds": "-1"}, ["--seed", "5"], "sweep.seeds"),
+    ("sweep", {"backends": "annealer"}, ["--backend", "exact"], "sweep.backends"),
+    ("solver", {}, ["--seed", "-3"], "solver"),
+    ("solver", {}, ["--backend", "nope"], "solver.backend"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, keys, flags, label",
+    LABEL_CASES,
+    ids=[",".join([*(f"{s}.{k}={v}" for k, v in keys.items()), *flags]) for s, keys, flags, _ in LABEL_CASES],
+)
+def test_each_key_rejected_under_its_label(tmp_path, capsys, section, keys, flags, label):
+    command = "sweep" if section == "sweep" else "solve"
+    cfg_path = write_config(tmp_path / "cfg.ini", **{section: keys})
+    assert cli.main([command, str(cfg_path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert f"config error in {label}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_backend_flag_replaces_an_unknown_file_backend(tmp_path):
+    cfg_path = write_config(tmp_path / "cfg.ini", solver={"backend": "annealer"})
+    assert cli.main(["solve", str(cfg_path), "--backend", "exact"]) == 0
+    assert "backend=exact" in (tmp_path / "out" / "summary.txt").read_text()
+
+
+def test_percent_signs_are_taken_literally(tmp_path, capsys):
+    directory = str(tmp_path / "run_100%")
+    cfg_path = write_config(tmp_path / "cfg.ini", output={"directory": directory})
+    assert cli.load_config(str(cfg_path)).out_dir == directory
+
+    cfg_path = write_config(tmp_path / "cfg.ini", problem={"sources": "1,1,%(x)s"})
+    assert cli.main(["solve", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error in problem: " in err
+    assert "Traceback" not in err
+
+
 def test_solve_takes_one_full_svd(tmp_path, singular_value_calls):
     cfg_path = write_config(tmp_path / "cfg.ini")  # 9 unknowns, exact backend in 3 blocks
     assert cli.main(["solve", str(cfg_path)]) == 0
