@@ -29,7 +29,6 @@ from .blocksolve import SolveConfig, iterate, iterate_many
 from .encoding import estimate_resources
 from .heatgrid import HeatProblem, assemble_system, grid_to_field
 from .linear import LinearSystem
-from .reference import condition_number
 from .samplers import EXHAUSTIVE_LIMIT, SamplerParams
 from .trace import IterationTrace
 
@@ -221,14 +220,10 @@ def _field_rows(field: np.ndarray, problem: HeatProblem) -> list[list]:
     return rows
 
 
-def _ground_truth(system: LinearSystem) -> tuple[float, np.ndarray | None]:
-    """kappa of A, and the exact solution (None when its norm vanishes).
-
-    kappa's singular values (``eigvalsh`` for a symmetric matrix, SVD otherwise) are the solve's rank test.
-    """
-    kappa = condition_number(system).kappa
+def _ground_truth(system: LinearSystem) -> np.ndarray | None:
+    """The exact solution by one dense LU solve, or None when its norm vanishes."""
     exact = np.linalg.solve(system.to_dense(), system.b)
-    return kappa, exact if float(np.linalg.norm(exact)) > 0.0 else None
+    return exact if float(np.linalg.norm(exact)) > 0.0 else None
 
 
 def _make_out_dir(path: str) -> None:
@@ -248,7 +243,7 @@ def run_solve(cfg: ExperimentConfig) -> int:
             )
     _make_out_dir(cfg.out_dir)
     system = assemble_system(cfg.problem)
-    kappa, exact = _ground_truth(system)
+    exact = _ground_truth(system)
     trace = iterate(system, cfg.solver, exact_solution=exact)
 
     _write_trace(os.path.join(cfg.out_dir, "trace.csv"), trace)
@@ -269,7 +264,7 @@ def run_solve(cfg: ExperimentConfig) -> int:
         f"residual_is_absolute={str(trace.residual_is_absolute).lower()}",
         f"final_residual={_fmt(float(final.residual))}",
         f"final_relative_error={_fmt(final.relative_error)}",
-        f"kappa={_fmt(kappa)}",
+        f"kappa={_fmt(cfg.problem.kappa)}",
         f"clipped_total={clipped_total}",
     ]
     _write_text(os.path.join(cfg.out_dir, "summary.txt"), "\n".join(summary) + "\n")
@@ -283,7 +278,7 @@ def _combo_name(solver: SolveConfig) -> str:
 def run_sweep(cfg: ExperimentConfig) -> int:
     _make_out_dir(cfg.out_dir)
     system = assemble_system(cfg.problem)
-    _, exact = _ground_truth(system)
+    exact = _ground_truth(system)
 
     combined: list[list] = []
     status: list[str] = []

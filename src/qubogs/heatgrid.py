@@ -75,6 +75,15 @@ class HeatProblem:
     def n(self) -> int:
         return (self.m - 1) ** 2
 
+    @property
+    def kappa(self) -> float:
+        """2-norm condition number of the assembled A in closed form: cot^2(pi / 2m).
+
+        A (4 on the diagonal, -1 per interior neighbor) does not depend on length, boundary or sources;
+        its eigenvalues are 4 - 2cos(i pi/m) - 2cos(j pi/m), i, j = 1..m-1 (LeVeque 2007, section 3.4).
+        """
+        return 1 / math.tan(math.pi / (2 * self.m)) ** 2
+
     def node(self, k: int) -> float:
         return self.length * k / self.m
 

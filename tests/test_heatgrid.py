@@ -118,6 +118,23 @@ def test_ramp_follows_the_plate_length():
     assert np.array_equal(assemble_system(resized).b, assemble_system(HeatProblem(4, 1.0)).b)
 
 
+def test_stencil_ignores_length_boundary_and_sources():
+    # HeatProblem.kappa rests on A being the bare 4/-1 stencil for every plate of one m
+    m = 6
+    plates = [
+        HeatProblem(m),
+        HeatProblem(m, length=0.3),
+        HeatProblem(m, length=7.5, boundary="zero"),
+        HeatProblem(m, boundary=dict.fromkeys(("bottom", "top", "left", "right"), lambda s: 40.0 * s - 3.0)),
+        HeatProblem(m, length=2.0, sources=[(1, 1, 25.0), (3, 4, -12.5), (5, 5, 1e6)]),
+    ]
+    first = assemble_system(plates[0])
+    for problem in plates[1:]:
+        system = assemble_system(problem)
+        for name in ("rows", "cols", "vals"):
+            assert np.array_equal(getattr(system, name), getattr(first, name)), (problem, name)
+
+
 def test_single_interior_node():
     # one unknown, four prescribed neighbors: 4*T = 10+20+30+40
     boundary = {

@@ -171,6 +171,15 @@ def test_plate_condition_matches_closed_form():
     m = 30
     c = np.cos(np.pi / m)
     assert condition_number(assemble_system(HeatProblem(m))).kappa == pytest.approx((1 + c) / (1 - c), rel=1e-11)
+    # HeatProblem.kappa against cot^2(pi / 2m), evaluated to 19 digits
+    exact = {4: 5.828427124746190098, 10: 39.86345818906140097, 30: 364.0897772957675256, 100: 4052.180695476829122}
+    for m, kappa in exact.items():
+        assert HeatProblem(m).kappa == pytest.approx(kappa, rel=1e-15, abs=0.0), m
+    # and against eigvalsh of the assembled plate, within its n * eps * kappa accuracy
+    for m in range(2, 41):
+        problem = HeatProblem(m)
+        bound = problem.n * np.finfo(float).eps * problem.kappa
+        assert condition_number(assemble_system(problem)).kappa == pytest.approx(problem.kappa, rel=bound, abs=0.0), m
 
 
 def test_nonsymmetric_input_takes_the_svd(singular_value_calls):

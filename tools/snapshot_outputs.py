@@ -17,7 +17,7 @@ The manifest holds the sha256 of every file a snapshot writes, under header
 lines naming the numpy version and BLAS build it was made with. `--check`
 takes a snapshot in a temporary directory and names each file whose hash
 differs; it fails at once, naming the expected build, under another numpy or
-BLAS, where the last digits of kappa or the errors may differ. `--quick`
+BLAS, where the last digits of the errors may differ. `--quick`
 leaves out the demo sweep and so also `exit_codes.txt`; every other exit code
 shows in the files (`converged=` in `summary.txt`, the status lines of
 `sweep_summary.txt`, the rendered image).
