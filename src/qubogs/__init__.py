@@ -1,7 +1,6 @@
 """Iterative QUBO solution of sparse linear systems from plate heat problems."""
 
 from .blocksolve import (
-    BlockPartition,
     ConvergenceReport,
     SolveConfig,
     check_convergence_condition,
@@ -9,7 +8,6 @@ from .blocksolve import (
     gs_sweep,
     iterate,
     iterate_many,
-    partition,
     residual,
     shrink_encoding,
 )
@@ -20,10 +18,9 @@ from .encoding import (
     decode,
     encode,
     estimate_resources,
-    required_bits,
 )
 from .heatgrid import HeatProblem, assemble_system, boundary_temperature, grid_to_field
-from .linear import LinearSystem
+from .linear import BlockPartition, LinearSystem, partition
 from .reference import (
     ConditionEstimate,
     SingularMatrixError,
@@ -69,7 +66,6 @@ __all__ = [
     "iterate_many",
     "partition",
     "relative_error",
-    "required_bits",
     "residual",
     "shrink_encoding",
     "solve_exhaustive",

@@ -32,42 +32,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .encoding import BinaryEncoding, QuboProblem, decode, encode_dense
-from .linear import LinearSystem, whole_number
+from .linear import BlockPartition, LinearSystem, partition, whole_number
 from .reference import _singular_values, relative_error, solve_dense
 from .samplers import BACKENDS, SampleSet, SamplerParams, _seed_states, _seed_words, solve_sa_many
 from .trace import IterationRecord, IterationTrace
 
 Backend = Callable[[QuboProblem, SamplerParams], SampleSet]
-
-
-@dataclass
-class BlockPartition:
-    """Contiguous half-open ranges covering 0..n-1 in order, without overlap."""
-
-    n: int
-    blocks: list[tuple[int, int]]
-
-    def __post_init__(self):
-        expected = 0
-        for lo, hi in self.blocks:
-            if lo != expected or hi <= lo:
-                raise ValueError("blocks must be sorted, disjoint, and cover the index range")
-            expected = hi
-        if expected != self.n:
-            raise ValueError(f"blocks cover 0..{expected - 1} but the system has {self.n} unknowns")
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
-def partition(n: int, blocks: int) -> BlockPartition:
-    """Split 0..n-1 into ``blocks`` contiguous ranges, larger ranges first."""
-    blocks = whole_number("blocks", blocks)
-    if blocks > n:
-        raise ValueError(f"block count must satisfy 1 <= blocks <= {n}")
-    small, big = divmod(n, blocks)
-    starts = [p * small + min(p, big) for p in range(blocks + 1)]  # np.array_split's boundaries
-    return BlockPartition(n, list(zip(starts, starts[1:])))
 
 
 @dataclass
@@ -222,8 +192,8 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     if x.shape != (n,) or not np.all(np.isfinite(x)):
         raise ValueError(f"initial iterate x0 must be a finite vector of length {n}")
     exact = None if exact_solution is None else np.asarray(exact_solution, dtype=float)
-    if exact is not None and not (exact.shape == (n,) and np.all(np.isfinite(exact)) and exact.any()):
-        raise ValueError(f"exact_solution must be a finite, nonzero vector of length {n}")
+    if exact is not None and not (exact.shape == (n,) and np.all(np.isfinite(exact)) and np.linalg.norm(exact) > 0.0):
+        raise ValueError(f"exact_solution must be a finite vector of length {n} with a nonzero norm")
     first = configs[0]
     part = partition(n, first.blocks)
     # only the right-hand sides change from sweep to sweep, so each block is split once
@@ -319,6 +289,8 @@ class ConvergenceReport:
 
 def check_convergence_condition(system: LinearSystem, part: BlockPartition) -> ConvergenceReport:
     """Evaluate the two-block sufficient convergence condition for a split system."""
+    if part.n != system.n:
+        raise ValueError("partition does not match the system size")
     if len(part.blocks) != 2:
         raise ValueError("the convergence check applies to a two-block partition")
     a = system.to_dense()

@@ -28,8 +28,8 @@ import numpy as np
 from .blocksolve import SolveConfig, iterate, iterate_many
 from .encoding import estimate_resources
 from .heatgrid import HeatProblem, assemble_system, grid_to_field
-from .linear import LinearSystem
-from .samplers import EXHAUSTIVE_LIMIT, SamplerParams
+from .linear import LinearSystem, partition
+from .samplers import SamplerParams, check_exhaustive
 from .trace import IterationTrace
 
 OUT_DIR_ENV = "QUBOGS_OUT_DIR"
@@ -159,8 +159,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> Exper
         "solver", solver_ini, blocks=int, bits=int, scale=float, offset=float, gamma=float, tol=float, max_iters=int
     )
     solver = _checked("solver", SolveConfig, **solver_keys, backend=backend, sampler=sampler)
-    if solver.blocks > problem.n:
-        raise ConfigError("solver.blocks", f"block count must satisfy 1 <= blocks <= {problem.n}")
+    _checked("solver.blocks", partition, problem.n, solver.blocks)
 
     # each [sweep] entry goes through the constructor it ends up in, also where a flag replaces its list
     lists = {}
@@ -236,11 +235,7 @@ def _make_out_dir(path: str) -> None:
 def run_solve(cfg: ExperimentConfig) -> int:
     if cfg.solver.backend == "exhaustive":
         qubits = estimate_resources(cfg.problem.n, cfg.solver.bits, cfg.solver.blocks).per_block_qubits
-        if qubits > EXHAUSTIVE_LIMIT:
-            raise ConfigError(
-                "solver.bits",
-                f"the largest block needs {qubits} binary variables, the exhaustive limit is {EXHAUSTIVE_LIMIT}",
-            )
+        _checked("solver.bits", check_exhaustive, qubits)
     _make_out_dir(cfg.out_dir)
     system = assemble_system(cfg.problem)
     exact = _ground_truth(system)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linear import LinearSystem, whole_number
+from .linear import LinearSystem, partition, whole_number
 
 
 @dataclass
@@ -62,10 +62,6 @@ class BinaryEncoding:
     def lower(self) -> np.ndarray:
         return -self.offset
 
-    def upper(self) -> np.ndarray:
-        """Open upper interval ends (not representable themselves)."""
-        return 2.0 * self.scale - self.offset
-
     def resolution(self) -> np.ndarray:
         """Gap between adjacent representable values, 2*c_i / 2^R."""
         return 2.0 * self.scale / 2.0**self.bits
@@ -87,19 +83,6 @@ def decode(bits_values, enc: BinaryEncoding) -> np.ndarray:
     return enc.scale * fractions - enc.offset
 
 
-def required_bits(scale: float, accuracy: float) -> int:
-    """Smallest R with interval-length / 2^R = 2c/2^R <= accuracy (at least 1)."""
-    if not (0.0 < scale < np.inf and 0.0 < accuracy < np.inf):
-        raise ValueError("scale and accuracy must be finite and positive")
-    r = max(1, math.ceil(math.log2(2.0 * scale / accuracy)))
-    # guard the float log against edge-of-power-of-two rounding
-    while 2.0 * scale / 2.0**r > accuracy:
-        r += 1
-    while r > 1 and 2.0 * scale / 2.0 ** (r - 1) <= accuracy:
-        r -= 1
-    return r
-
-
 @dataclass
 class ResourceReport:
     """Logical-qubit counts for solving directly versus in blocks."""
@@ -107,25 +90,13 @@ class ResourceReport:
     full_system_qubits: int
     block_size: int
     per_block_qubits: int
-    connection_reduction: float
 
 
 def estimate_resources(n: int, bits: int, blocks: int) -> ResourceReport:
-    """Qubit counts: n*R for one shot, ceil(n/blocks)*R per block solve.
-
-    ``connection_reduction`` is the worst-case drop in qubit-pair couplings
-    gained by block splitting, (n*R)^2 * (1 - 1/blocks^2).
-    """
-    n, bits, blocks = whole_number("n", n), whole_number("bits", bits), whole_number("blocks", blocks)
-    if blocks > n:
-        raise ValueError("block count must satisfy 1 <= blocks <= n")
-    block_size = -(-n // blocks)
-    return ResourceReport(
-        full_system_qubits=n * bits,
-        block_size=block_size,
-        per_block_qubits=block_size * bits,
-        connection_reduction=float(n * n * bits * bits) * (1.0 - 1.0 / (blocks * blocks)),
-    )
+    """Qubit counts: n*R for one shot, and R times the largest block of ``partition(n, blocks)`` per block solve."""
+    n, bits = whole_number("n", n), whole_number("bits", bits)
+    lo, hi = partition(n, blocks).blocks[0]  # the first block is a largest
+    return ResourceReport(full_system_qubits=n * bits, block_size=hi - lo, per_block_qubits=(hi - lo) * bits)
 
 
 @dataclass

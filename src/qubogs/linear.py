@@ -1,4 +1,4 @@
-"""Sparse linear systems stored as row-sorted coordinate arrays."""
+"""Sparse linear systems stored as row-sorted coordinate arrays, and their split into contiguous blocks."""
 
 from dataclasses import dataclass, field
 
@@ -73,6 +73,32 @@ class LinearSystem:
             raise ValueError(f"vector must have length {self.n}")
         return np.bincount(self.rows, self.vals * x[self.cols], minlength=self.n)
 
-    def diagonal(self) -> np.ndarray:
-        on = self.rows == self.cols
-        return np.bincount(self.rows[on], self.vals[on], minlength=self.n)
+
+@dataclass
+class BlockPartition:
+    """Contiguous half-open ranges covering 0..n-1 in order, without overlap."""
+
+    n: int
+    blocks: list[tuple[int, int]]
+
+    def __post_init__(self):
+        expected = 0
+        for lo, hi in self.blocks:
+            if lo != expected or hi <= lo:
+                raise ValueError("blocks must be sorted, disjoint, and cover the index range")
+            expected = hi
+        if expected != self.n:
+            raise ValueError(f"blocks cover 0..{expected - 1} but the system has {self.n} unknowns")
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+
+def partition(n: int, blocks: int) -> BlockPartition:
+    """Split 0..n-1 into ``blocks`` contiguous ranges, larger ranges first, so the first is a largest."""
+    blocks = whole_number("blocks", blocks)
+    if blocks > n:
+        raise ValueError(f"block count must satisfy 1 <= blocks <= {n}")
+    small, big = divmod(n, blocks)
+    starts = [p * small + min(p, big) for p in range(blocks + 1)]  # np.array_split's boundaries
+    return BlockPartition(n, list(zip(starts, starts[1:])))

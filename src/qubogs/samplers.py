@@ -120,6 +120,12 @@ def _all_bit_rows(size: int) -> np.ndarray:
     return bmat
 
 
+def check_exhaustive(size: int) -> None:
+    """Raise ValueError when ``solve_exhaustive`` cannot scan ``size`` binary variables."""
+    if size > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"{size} binary variables exceed the exhaustive limit of {EXHAUSTIVE_LIMIT}")
+
+
 def solve_exhaustive(problem: QuboProblem) -> SampleSet:
     """Scan every bitstring and return the global minimum (deterministic).
 
@@ -127,8 +133,7 @@ def solve_exhaustive(problem: QuboProblem) -> SampleSet:
     ``EXHAUSTIVE_LIMIT`` binary variables.
     """
     size = problem.size
-    if size > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"problem has {size} binary variables, exhaustive limit is {EXHAUSTIVE_LIMIT}")
+    check_exhaustive(size)
     w = problem.quadratic
     best_energy = np.inf
     best_state = 0

@@ -50,7 +50,7 @@ def loop_gauss_seidel(
     if not 0.0 < tol < np.inf:
         raise ValueError("tolerance must be finite and positive")
     max_iters = whole_number("max_iters", max_iters)
-    diag = system.diagonal()
+    diag = system.to_dense().diagonal()
     if np.any(diag == 0.0):
         raise ValueError("Gauss-Seidel requires nonzero diagonal entries")
     b = system.b
@@ -285,13 +285,13 @@ class TestShrink:
         out = shrink_encoding(enc, np.array([1.0, -1.0]), 0.8, 1)
         assert_allclose(out.scale, 2.0)
         assert_allclose(out.lower(), [1.0 - 2.0, -1.0 - 2.0])
-        assert_allclose(out.upper(), [1.0 + 2.0, -1.0 + 2.0])
+        assert_allclose(2.0 * out.scale - out.offset, [1.0 + 2.0, -1.0 + 2.0])
 
     def test_hand_interval(self):
         enc = BinaryEncoding.uniform(1, 3, 1.0, 0.0)
         out = shrink_encoding(enc, np.array([0.5]), 0.8, 2)
         assert_allclose(out.lower(), [-0.3])
-        assert_allclose(out.upper(), [1.3])
+        assert_allclose(2.0 * out.scale - out.offset, [1.3])
 
     def test_gamma_one_constant(self):
         enc = BinaryEncoding.uniform(1, 3, 1.5, 0.0)
@@ -496,6 +496,7 @@ class TestIterateInputs:
         "short-exact-solution": ("exact", {"exact_solution": np.ones(5)}, "exact_solution"),
         "nonfinite-exact-solution": ("exact", {"exact_solution": NAN_AT_4}, "exact_solution"),
         "zero-exact-solution": ("exact", {"exact_solution": np.zeros(9)}, "exact_solution"),
+        "tiny-exact-solution": ("exact", {"exact_solution": np.full(9, 1e-200)}, "exact_solution"),  # its norm underflows
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -686,6 +687,11 @@ class TestConvergenceCondition:
         system, _ = demo_2x2
         with pytest.raises(ValueError):
             check_convergence_condition(system, partition(2, 1))
+
+    def test_partition_system_mismatch(self):
+        system = assemble_system(HeatProblem(10))
+        with pytest.raises(ValueError, match="partition does not match"):
+            check_convergence_condition(system, partition(4, 2))
 
 
 class TestIterateQubo:

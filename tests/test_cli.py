@@ -466,12 +466,21 @@ def test_sweep_traces_match_single_solves(tmp_path):
 
 def test_solve_rejects_blocks_beyond_exhaustive_limit(tmp_path, capsys):
     # 81 unknowns in 9 blocks of 3 bits make 27-bit blocks, past the scan limit
-    cfg_path = write_config(tmp_path / "cfg.ini", problem={"m": 10}, solver={"backend": "exhaustive", "blocks": 9, "bits": 3})
+    cfg_path = write_config(
+        tmp_path / "cfg.ini",
+        problem={"m": 10},
+        solver={"backend": "exhaustive", "blocks": 9, "bits": 3},
+        sweep={"bits": "3", "backends": "exhaustive"},
+    )
     assert cli.main(["solve", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert "config error in solver.bits" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    # a sweep over the same blocks and bits spells the limit as solve does
+    assert cli.main(["sweep", str(cfg_path)]) == 1
+    (status,) = (tmp_path / "out" / "sweep_summary.txt").read_text().strip().split("\n")
+    assert status.split(": error: ", 1)[1] == err.strip().split("config error in solver.bits: ", 1)[1]
 
 
 def test_sweep_contrast_between_backends(tmp_path):

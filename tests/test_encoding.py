@@ -10,7 +10,6 @@ from qubogs.encoding import (
     encode,
     encode_dense,
     estimate_resources,
-    required_bits,
 )
 from qubogs.heatgrid import HeatProblem, assemble_system
 from qubogs.linear import LinearSystem
@@ -86,7 +85,7 @@ class TestDecode:
         got = decode(np.ones(6), enc)
         expected = 2.0 * enc.scale * (1.0 - 2.0**-3) - enc.offset
         assert_allclose(got, expected)
-        assert np.all(got < enc.upper())
+        assert np.all(got < 2.0 * enc.scale - enc.offset)
 
     def test_range_and_distinct_values(self):
         enc = BinaryEncoding(1, 3, np.array([1.7]), np.array([0.4]))
@@ -96,7 +95,7 @@ class TestDecode:
         gaps = np.diff(values)
         assert_allclose(gaps, 1.7 * 2.0**-2)  # adjacent representable values differ by c*2^-(R-1)
         assert np.all(np.array(values) >= enc.lower()[0])
-        assert np.all(np.array(values) < enc.upper()[0])
+        assert np.all(np.array(values) < 2.0 * enc.scale[0] - enc.offset[0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -105,33 +104,7 @@ class TestDecode:
     def test_interval_spans_both_signs_when_offset_allows(self):
         # offset d > 0 with scale c > d/2 puts zero strictly inside the interval
         enc = BinaryEncoding.uniform(1, 2, 1.0, 0.5)
-        assert enc.lower()[0] < 0.0 < enc.upper()[0]
-
-
-class TestRequiredBits:
-    def test_examples(self):
-        assert required_bits(1.0, 0.5) == 2
-        assert required_bits(1.0, 2.0) == 1
-        assert required_bits(50.0, 50.0) == 1
-
-    def test_minimality_property(self):
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            c = float(rng.uniform(0.01, 100.0))
-            eps = float(rng.uniform(0.001, 10.0))
-            r = required_bits(c, eps)
-            assert 2.0 * c / 2.0**r <= eps
-            assert r == 1 or 2.0 * c / 2.0 ** (r - 1) > eps
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            required_bits(0.0, 1.0)
-        with pytest.raises(ValueError):
-            required_bits(1.0, 0.0)
-        # non-finite values used to reach math.ceil/log2 and fail with their errors
-        for scale, accuracy in ((np.inf, 1.0), (np.nan, 1.0), (1.0, np.inf), (1.0, np.nan)):
-            with pytest.raises(ValueError, match="finite"):
-                required_bits(scale, accuracy)
+        assert enc.lower()[0] < 0.0 < 2.0 * enc.scale[0] - enc.offset[0]
 
 
 class TestResources:
@@ -143,12 +116,11 @@ class TestResources:
         assert report.block_size == 8
         assert report.per_block_qubits == 56
 
-    def test_no_split_no_reduction(self):
-        assert estimate_resources(81, 7, 1).connection_reduction == 0.0
-
-    def test_reduction_formula(self):
-        report = estimate_resources(81, 7, 11)
-        assert report.connection_reduction == pytest.approx(81**2 * 7**2 * (1 - 1 / 121), rel=1e-12)
+    @pytest.mark.parametrize("n", [1, 9, 81, 100])
+    def test_block_size_is_the_largest_partition_block(self, n):
+        for blocks in range(1, n + 1):
+            largest = max(hi - lo for lo, hi in partition(n, blocks).blocks)
+            assert estimate_resources(n, 3, blocks).block_size == largest, (n, blocks)
 
     def test_bounds(self):
         with pytest.raises(ValueError):

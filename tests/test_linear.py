@@ -28,11 +28,6 @@ def test_matvec_matches_dense():
     assert_allclose(system.matvec(x), a @ x, atol=1e-14)
 
 
-def test_diagonal():
-    system = LinearSystem.from_dense([[4.0, -1.0], [-1.0, 5.0]], [0.0, 0.0])
-    assert_allclose(system.diagonal(), [4.0, 5.0])
-
-
 def test_validation():
     ok = ([0, 1], [0, 1], [1.0, 1.0])
     LinearSystem(2, *ok, np.zeros(2))
