@@ -33,7 +33,7 @@ import numpy as np
 
 from .encoding import BinaryEncoding, QuboProblem, decode, encode_dense
 from .linear import BlockPartition, LinearSystem, partition, whole_number
-from .reference import _singular_values, relative_error, solve_dense
+from .reference import _singular_values, solve_dense
 from .samplers import BACKENDS, SampleSet, SamplerParams, _seed_states, _seed_words, solve_sa_many
 from .trace import IterationRecord, IterationTrace
 
@@ -200,12 +200,18 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     splits = [(lo, hi, *_split(system, lo, hi)) for lo, hi in part.blocks]
     offsets, period = _wavefront(splits)
     due = [[p for p, o in enumerate(offsets) if o % period == r] for r in range(period)]  # step t solves blocks due[t % c]
+    depth = max(offsets) // period + 1  # iterations in flight; x^(k) of run i fills ring[i, k % depth]
     dense = [sub.to_dense() for _, _, sub, _ in splits]
     sizes = np.array([hi - lo for lo, hi, _, _ in splits])
     los = np.array([lo for lo, _, _, _ in splits])
-    # every off-block entry, row i's in the order _rhs meets them; row i of run j is bin j*n + i
-    off_cols, off_vals = (np.concatenate(part) for part in zip(*(off[1:] for *_, off in splits)))
-    bins = np.concatenate([lo + off[0] for lo, _, _, off in splits]) + n * np.arange(len(configs))[:, None]
+    # every off-block entry, row i's in the order _rhs meets them, and the residue class of its block
+    off_rows, off_cols, off_vals = (np.concatenate(a) for a in zip(*((lo + rows, cols, vals) for lo, _, _, (rows, cols, vals) in splits)))
+    off_class = np.repeat(np.array(offsets) % period, [len(off[0]) for *_, off in splits])
+    # each class's (cols, vals, bins), in that order; row i of run j is bin j*n + i
+    folds = [
+        (off_cols[mine], off_vals[mine], (off_rows[mine] + n * np.arange(len(configs))[:, None]).ravel())
+        for mine in (off_class == r for r in range(period))
+    ]
     exact_backend = first.backend == "exact"
     if exact_backend:
         for a in dense:
@@ -217,10 +223,11 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
         grams = [a.T @ a for a in dense]  # only b and the window change between a block's encodings
         sample = None if first.backend == "sa" else BACKENDS[first.backend] if isinstance(first.backend, str) else first.backend
 
-    is_absolute = float(np.linalg.norm(system.b)) == 0.0
+    b_norm = float(np.linalg.norm(system.b))
+    exact_norm = None if exact is None else float(np.linalg.norm(exact))
     xs = np.tile(x, (len(configs), 1))  # each block's latest value, per run
-    # (run, k) -> x^(k) and each block's (best sample, window), filled in as iteration k's solves land
-    pending = defaultdict(lambda: (np.empty(n), [None] * len(splits)))
+    ring = np.empty((len(configs), depth, n))
+    notes = defaultdict(lambda: [None] * len(splits))  # (run, k) -> each block's (best sample, window); QUBO backends only
     records: list[list[IterationRecord]] = [[] for _ in configs]
     converged = [False] * len(configs)
     active = list(range(len(configs)))
@@ -230,15 +237,15 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
             k = (t - offsets[p]) // period
             if 1 <= k <= configs[i].max_iters:
                 groups.setdefault(int(sizes[p]), []).append((i, k, p))
-        # every run's right-hand sides at once, each row bit for bit as _rhs folds it
-        folded = np.bincount(bins.ravel(), (off_vals * xs[:, off_cols]).ravel(), minlength=xs.size)
-        rhs_all = system.b - folded.reshape(xs.shape)
+        # every run's right-hand sides of this step's class at once, each row bit for bit as _rhs folds it
+        cols, vals, bins = folds[t % period]
+        rhs_all = system.b - np.bincount(bins, (vals * xs[:, cols]).ravel(), minlength=xs.size).reshape(xs.shape)
         for size, group in groups.items():
-            runs, _, ps = np.array(group).T
-            rhs = rhs_all[runs[:, None], los[ps, None] + np.arange(size)]
+            runs, ks, ps = np.array(group).T
+            runs, at = runs[:, None], los[ps, None] + np.arange(size)
+            rhs = rhs_all[runs, at]
             if exact_backend:
                 values = np.matmul(inverses[size][slot[ps]], rhs[:, :, None])[:, :, 0]
-                bests = windows = [None] * len(group)
             else:
                 pairs, windows = [], []
                 # each solve's seed: the first word of SeedSequence((seed, k, lo)); k and lo are single words
@@ -249,28 +256,32 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
                     windows.append(window if k == 1 or config.gamma == 1.0 else shrink_encoding(window, xs[i][lo:hi], config.gamma, k))
                     pairs.append((encode_dense(dense[p], grams[p], b, windows[-1]), replace(config.sampler, seed=seed)))
                 results = solve_sa_many(pairs) if sample is None else [sample(*pair) for pair in pairs]
-                bests = [result.best_sample for result in results]
-                values = [decode(best.bits, window) for best, window in zip(bests, windows)]
-            for (i, k, p), value, best, window in zip(group, values, bests, windows):
-                lo, hi = splits[p][:2]
-                x_k, landed = pending[i, k]
-                xs[i][lo:hi] = x_k[lo:hi] = value
-                landed[p] = best, window
+                values = []
+                for (i, k, p), result, window in zip(group, results, windows):
+                    notes[i, k][p] = result.best_sample, window
+                    values.append(decode(result.best_sample.bits, window))
+            xs[runs, at] = ring[runs, ks[:, None] % depth, at] = values
         k, rem = divmod(t - max(offsets), period)
         for i in list(active) if not rem and k >= 1 else []:
             config = configs[i]
-            x_k, landed = pending.pop((i, k))
-            r = residual(system, x_k)
-            err = relative_error(x_k, exact) if exact is not None else None
-            energies = None if exact_backend else [best.energy for best, _ in landed]
-            clipped = [] if exact_backend else [p for p, (best, w) in enumerate(landed) if _saturated_vars(best.bits, w.n, w.bits)]
-            halfwidth = None if exact_backend else max(float(w.scale.max()) for _, w in landed)
+            x_k = ring[i, k % depth].copy()
+            # residual and relative_error's divisions, with ||b|| and ||exact|| taken once per solve
+            r = float(np.linalg.norm(system.matvec(x_k) - system.b))
+            r = r if b_norm == 0.0 else r / b_norm
+            err = None if exact is None else float(np.linalg.norm(x_k - exact)) / exact_norm
+            if exact_backend:
+                energies, clipped, halfwidth = None, [], None
+            else:
+                landed = notes.pop((i, k))
+                energies = [best.energy for best, _ in landed]
+                clipped = [p for p, (best, w) in enumerate(landed) if _saturated_vars(best.bits, w.n, w.bits)]
+                halfwidth = max(float(w.scale.max()) for _, w in landed)
             records[i].append(IterationRecord(k, x_k, r, err, energies, clipped, halfwidth))
             converged[i] = r <= config.tol
             if converged[i] or k == config.max_iters:
                 active.remove(i)
         if not active:
-            return [IterationTrace(rec, conv, residual_is_absolute=is_absolute) for rec, conv in zip(records, converged)]
+            return [IterationTrace(rec, conv, residual_is_absolute=b_norm == 0.0) for rec, conv in zip(records, converged)]
 
 
 @dataclass
