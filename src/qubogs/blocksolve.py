@@ -178,12 +178,17 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     size's stack is inverted once per solve, after the rank test; a block solve
     then errs by O(kappa(A_pp) eps) relative, not LU's backward-stable error,
     and the next sweep corrects it, as in iterative refinement. The right-hand
-    sides of every run come from one gather and one ``np.bincount`` per step,
-    bit for bit as ``_rhs`` computes each; no solve of a step couples to another
-    of that step. Iteration k is complete at step c*k + max o; a run that has
-    then converged or reached ``max_iters`` leaves, and the speculative solves
-    it started for up to max o // c later iterations are dropped. A bad ``x0``
-    or ``exact_solution`` raises before any solve.
+    sides of every run come from one gather and one ``np.bincount`` per step
+    over the off-block entries of that step's residue class only, bit for bit
+    as ``_rhs`` computes each; no solve of a step couples to another of that
+    step. Each run's max o // c + 1 iterations in flight share a ring of that
+    depth, and each size group lands in it with one fancy assignment. Iteration
+    k is complete at step c*k + max o; its record copies its ring slot and takes
+    ``residual``'s and ``relative_error``'s quotients from ||b|| and
+    ||exact_solution||, each taken once per call. A run that has then
+    converged or reached ``max_iters`` leaves, and the speculative solves it
+    started for up to max o // c later iterations are dropped. A bad ``x0`` or
+    ``exact_solution`` raises before any solve.
     """
     if len({(c.blocks, c.bits, c.backend, c.sampler.sweeps) for c in configs}) != 1:
         raise ValueError("lockstep runs need at least one config, all sharing blocks, bits, backend and sweeps")
@@ -207,7 +212,7 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     # every off-block entry, row i's in the order _rhs meets them, and the residue class of its block
     off_rows, off_cols, off_vals = (np.concatenate(a) for a in zip(*((lo + rows, cols, vals) for lo, _, _, (rows, cols, vals) in splits)))
     off_class = np.repeat(np.array(offsets) % period, [len(off[0]) for *_, off in splits])
-    # each class's (cols, vals, bins), in that order; row i of run j is bin j*n + i
+    # each residue class's off-block (cols, vals, bins), so a step folds only its own blocks' rows; row i of run j is bin j*n + i
     folds = [
         (off_cols[mine], off_vals[mine], (off_rows[mine] + n * np.arange(len(configs))[:, None]).ravel())
         for mine in (off_class == r for r in range(period))
@@ -269,13 +274,10 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
             r = float(np.linalg.norm(system.matvec(x_k) - system.b))
             r = r if b_norm == 0.0 else r / b_norm
             err = None if exact is None else float(np.linalg.norm(x_k - exact)) / exact_norm
-            if exact_backend:
-                energies, clipped, halfwidth = None, [], None
-            else:
-                landed = notes.pop((i, k))
-                energies = [best.energy for best, _ in landed]
-                clipped = [p for p, (best, w) in enumerate(landed) if _saturated_vars(best.bits, w.n, w.bits)]
-                halfwidth = max(float(w.scale.max()) for _, w in landed)
+            landed = notes.pop((i, k), [])
+            energies = None if exact_backend else [best.energy for best, _ in landed]
+            clipped = [p for p, (best, w) in enumerate(landed) if _saturated_vars(best.bits, w.n, w.bits)]
+            halfwidth = None if exact_backend else max(float(w.scale.max()) for _, w in landed)
             records[i].append(IterationRecord(k, x_k, r, err, energies, clipped, halfwidth))
             converged[i] = r <= config.tol
             if converged[i] or k == config.max_iters:

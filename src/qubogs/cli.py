@@ -27,7 +27,7 @@ import numpy as np
 
 from .blocksolve import SolveConfig, iterate, iterate_many
 from .encoding import estimate_resources
-from .heatgrid import HeatProblem, assemble_system, grid_to_field
+from .heatgrid import HeatProblem, assemble_system, grid_to_field, solve_plate
 from .linear import LinearSystem, partition
 from .samplers import SamplerParams, check_exhaustive
 from .trace import IterationTrace
@@ -219,9 +219,9 @@ def _field_rows(field: np.ndarray, problem: HeatProblem) -> list[list]:
     return rows
 
 
-def _ground_truth(system: LinearSystem) -> np.ndarray | None:
-    """The exact solution by one dense LU solve, or None when its norm vanishes."""
-    exact = np.linalg.solve(system.to_dense(), system.b)
+def _ground_truth(problem: HeatProblem, system: LinearSystem) -> np.ndarray | None:
+    """The exact solution of the assembled plate by sine transform (``solve_plate``), or None when its norm vanishes."""
+    exact = solve_plate(problem, system.b)
     return exact if float(np.linalg.norm(exact)) > 0.0 else None
 
 
@@ -238,7 +238,7 @@ def run_solve(cfg: ExperimentConfig) -> int:
         _checked("solver.bits", check_exhaustive, qubits)
     _make_out_dir(cfg.out_dir)
     system = assemble_system(cfg.problem)
-    exact = _ground_truth(system)
+    exact = _ground_truth(cfg.problem, system)
     trace = iterate(system, cfg.solver, exact_solution=exact)
 
     _write_trace(os.path.join(cfg.out_dir, "trace.csv"), trace)
@@ -273,7 +273,7 @@ def _combo_name(solver: SolveConfig) -> str:
 def run_sweep(cfg: ExperimentConfig) -> int:
     _make_out_dir(cfg.out_dir)
     system = assemble_system(cfg.problem)
-    exact = _ground_truth(system)
+    exact = _ground_truth(cfg.problem, system)
 
     combined: list[list] = []
     status: list[str] = []

@@ -94,9 +94,9 @@ class ResourceReport:
 
 def estimate_resources(n: int, bits: int, blocks: int) -> ResourceReport:
     """Qubit counts: n*R for one shot, and R times the largest block of ``partition(n, blocks)`` per block solve."""
-    n, bits = whole_number("n", n), whole_number("bits", bits)
-    lo, hi = partition(n, blocks).blocks[0]  # the first block is a largest
-    return ResourceReport(full_system_qubits=n * bits, block_size=hi - lo, per_block_qubits=(hi - lo) * bits)
+    bits, part = whole_number("bits", bits), partition(n, blocks)
+    lo, hi = part.blocks[0]  # the first block is a largest
+    return ResourceReport(full_system_qubits=part.n * bits, block_size=hi - lo, per_block_qubits=(hi - lo) * bits)
 
 
 @dataclass

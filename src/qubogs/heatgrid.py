@@ -127,6 +127,30 @@ def assemble_system(problem: HeatProblem) -> LinearSystem:
     return LinearSystem(problem.n, rows, cols, vals, b)
 
 
+def _dst2(v: np.ndarray) -> np.ndarray:
+    """DST-I, sum_j v_j sin(pi j k / (N+1)) for k = 1..N, along both axes of a square array.
+
+    Each axis takes -1/2 the imaginary part of the real FFT of the odd extension [0, v, 0, -reversed v].
+    """
+    for _ in range(2):
+        zero = np.zeros((len(v), 1))
+        v = -0.5 * np.fft.rfft(np.concatenate([zero, v, zero, -v[:, ::-1]], axis=1))[:, 1 : len(v) + 1].imag.T
+    return v
+
+
+def solve_plate(problem: HeatProblem, b) -> np.ndarray:
+    """A^-1 b for the plate's assembled A by sine transform, in O(n log n).
+
+    A's eigenvectors are the 2-D sine modes, with eigenvalues lambda_i + lambda_j, lambda_i = 2 - 2cos(i pi/m)
+    = 4 sin^2(i pi/2m), the form without cancellation at small i (LeVeque 2007, section 3.4). The DST-I matrix S
+    of size m-1 has S^2 = (m/2) I, so A^-1 b = (2/m)^2 S [(S B S) / (lambda_i + lambda_j)] S, B = b as a grid.
+    """
+    m, side = problem.m, problem.m - 1
+    lam = 4.0 * np.sin(np.arange(1, m) * np.pi / (2 * m)) ** 2
+    modes = _dst2(np.reshape(b, (side, side))) / (lam[:, None] + lam)
+    return (2.0 / m) ** 2 * _dst2(modes).ravel()
+
+
 def grid_to_field(x, problem: HeatProblem) -> np.ndarray:
     """Expand an interior solution vector to the full (m+1) x (m+1) node grid.
 

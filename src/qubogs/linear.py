@@ -96,7 +96,7 @@ class BlockPartition:
 
 def partition(n: int, blocks: int) -> BlockPartition:
     """Split 0..n-1 into ``blocks`` contiguous ranges, larger ranges first, so the first is a largest."""
-    blocks = whole_number("blocks", blocks)
+    n, blocks = whole_number("n", n), whole_number("blocks", blocks)
     if blocks > n:
         raise ValueError(f"block count must satisfy 1 <= blocks <= {n}")
     small, big = divmod(n, blocks)

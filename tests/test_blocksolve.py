@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -208,6 +209,13 @@ class TestPartition:
             with pytest.raises(ValueError, match="blocks"):
                 partition(9, bad)
         assert partition(9, 3.0).blocks == [(0, 3), (3, 6), (6, 9)]
+
+    def test_size_is_a_whole_number(self):
+        for bad in (9.5, 0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="n must be"):
+                partition(bad, 3)
+        part = partition(np.float64(9.0), 3)
+        assert part.n == 9 and type(part.n) is int and part.blocks == [(0, 3), (3, 6), (6, 9)]
 
     @pytest.mark.parametrize("n", range(1, 61))
     def test_ranges_are_array_split_boundaries(self, n):
@@ -587,6 +595,16 @@ class TestWavefront:
         exact = direct_solve(system)
         configs = [SolveConfig(blocks=blocks, tol=tol, max_iters=m, backend="exact") for tol, m in ((1e-8, 40), (1e-3, 40), (1e-8, 3))]
         assert_same_traces(iterate_many(system, configs, exact), sequential_iterate_many(system, configs, exact))
+
+    @pytest.mark.parametrize("backend", ["exact", "exhaustive"])
+    def test_records_own_their_iterates(self, backend):
+        # iterates in flight share one ring, so every record must hold a copy of its slot
+        system = sourced_plate()
+        configs = [SolveConfig(blocks=27, bits=2, tol=tol, max_iters=12, backend=backend) for tol in (1e-2, 1e-12)]
+        records = [rec for trace in iterate_many(system, configs) for rec in trace.records]
+        assert len(records) > 12
+        for a, b in itertools.combinations(records, 2):
+            assert not np.shares_memory(a.x, b.x)
 
     def test_callable_backend_contract(self):
         # each (seed, k, block) solve is asked for at most once, never past a run's cap, and at most

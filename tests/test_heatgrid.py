@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qubogs.heatgrid import HeatProblem, assemble_system, boundary_temperature, grid_to_field
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qubogs.heatgrid import HeatProblem, assemble_system, boundary_temperature, grid_to_field, solve_plate
 from qubogs.linear import LinearSystem
 from qubogs.reference import direct_solve
 
@@ -290,3 +293,37 @@ def test_array_assembly_matches_loop_oracle(boundary):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (m, count, name)
             x = rng.uniform(-100.0, 100.0, problem.n)
             assert np.array_equal(grid_to_field(x, problem), loop_grid_to_field(x, problem)), (m, count)
+
+
+CURVED_EDGES = {"bottom": math.sin, "top": math.cos, "left": lambda s: s * s, "right": lambda s: 3.0 - s}
+
+
+def assert_plate_solve_matches_dense(problem, b):
+    # both answers lie within n eps kappa of A^-1 b (relative), so they differ by at most twice that
+    want = np.linalg.solve(assemble_system(problem).to_dense(), b)
+    bound = 2 * problem.n * np.finfo(float).eps * problem.kappa
+    assert np.linalg.norm(solve_plate(problem, b) - want) <= bound * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("m", range(2, 41))
+def test_solve_plate_matches_dense_solve(m):
+    rng = np.random.default_rng(m)
+    for boundary in ("ramp", "zero", CURVED_EDGES):
+        nodes = rng.integers(1, m, (3, 2))
+        problem = HeatProblem(m, 2.0, boundary, [(int(i), int(j), float(s)) for (i, j), s in zip(nodes, rng.normal(0.0, 50.0, 3))])
+        assert_plate_solve_matches_dense(problem, assemble_system(problem).b)
+    assert_plate_solve_matches_dense(problem, rng.standard_normal(problem.n))
+
+
+def test_solve_plate_single_node_and_zero_source():
+    assert_allclose(solve_plate(HeatProblem(2), [8.0]), [2.0], rtol=4 * np.finfo(float).eps)
+    assert np.array_equal(solve_plate(HeatProblem(7), np.zeros(36)), np.zeros(36))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 16), st.sampled_from(["ramp", "zero"]), st.data())
+def test_solve_plate_matches_dense_solve_for_any_sources(m, boundary, data):
+    node = st.integers(1, m - 1)
+    sources = data.draw(st.lists(st.tuples(node, node, st.floats(-1e4, 1e4)), max_size=6), label="sources")
+    problem = HeatProblem(m, boundary=boundary, sources=sources)
+    assert_plate_solve_matches_dense(problem, assemble_system(problem).b)
