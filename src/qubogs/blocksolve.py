@@ -57,7 +57,8 @@ class SolveConfig:
     def __post_init__(self):
         for name in ("blocks", "bits", "max_iters"):
             setattr(self, name, whole_number(name, getattr(self, name)))
-        self.scale, self.offset = float(self.scale), float(self.offset)
+        for name in ("scale", "offset", "gamma", "tol"):
+            setattr(self, name, float(getattr(self, name)))
         if not (0.0 < self.scale < np.inf and np.isfinite(self.offset)):
             raise ValueError("encoding scale must be positive and finite, and its offset finite")
         if not 0.0 < self.gamma <= 1.0:

@@ -180,14 +180,6 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> Exper
     return ExperimentConfig(problem=problem, solver=solver, sweep=sweep, out_dir=out_dir)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))  # shortest text that parses back to the same double
-    return str(value)
-
-
 def _write_text(path: str, text: str, where: str = "output") -> None:
     try:
         with open(path, "w", newline="\n") as fh:
@@ -197,7 +189,8 @@ def _write_text(path: str, text: str, where: str = "output") -> None:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    """None is written as nan, every other value by ``str``: for a Python float, the shortest text that parses back to it."""
+    lines = [",".join(header)] + [",".join("nan" if v is None else str(v) for v in row) for row in rows]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -205,18 +198,13 @@ def _write_trace(path: str, trace: IterationTrace) -> None:
     rows = []
     for rec in trace.records:
         energy_sum = None if rec.block_energies is None else float(sum(rec.block_energies))
-        rows.append(
-            [rec.k, float(rec.residual), rec.relative_error, len(rec.clipped_blocks), energy_sum, rec.halfwidth_max]
-        )
+        rows.append([rec.k, rec.residual, rec.relative_error, len(rec.clipped_blocks), energy_sum, rec.halfwidth_max])
     _write_csv(path, ["k", "residual", "relative_error", "clipped_blocks", "best_energy_sum", "halfwidth_max"], rows)
 
 
 def _field_rows(field: np.ndarray, problem: HeatProblem) -> list[list]:
-    rows = []
-    for i in range(problem.m + 1):
-        for j in range(problem.m + 1):
-            rows.append([i, j, problem.node(i), problem.node(j), float(field[i, j])])
-    return rows
+    nodes = [problem.node(k) for k in range(problem.m + 1)]
+    return [[i, j, nodes[i], nodes[j], t] for i, temps in enumerate(field.tolist()) for j, t in enumerate(temps)]
 
 
 def _ground_truth(problem: HeatProblem, system: LinearSystem) -> np.ndarray | None:
@@ -252,14 +240,14 @@ def run_solve(cfg: ExperimentConfig) -> int:
         f"backend={cfg.solver.backend}",
         f"blocks={cfg.solver.blocks}",
         f"bits={cfg.solver.bits}",
-        f"gamma={_fmt(cfg.solver.gamma)}",
+        f"gamma={cfg.solver.gamma}",
         f"seed={cfg.solver.sampler.seed}",
         f"iterations={final.k}",
         f"converged={str(trace.converged).lower()}",
         f"residual_is_absolute={str(trace.residual_is_absolute).lower()}",
-        f"final_residual={_fmt(float(final.residual))}",
-        f"final_relative_error={_fmt(final.relative_error)}",
-        f"kappa={_fmt(cfg.problem.kappa)}",
+        f"final_residual={final.residual}",
+        f"final_relative_error={float(trace.errors[-1])}",  # nan without a ground truth
+        f"kappa={cfg.problem.kappa}",
         f"clipped_total={clipped_total}",
     ]
     _write_text(os.path.join(cfg.out_dir, "summary.txt"), "\n".join(summary) + "\n")
@@ -267,7 +255,7 @@ def run_solve(cfg: ExperimentConfig) -> int:
 
 
 def _combo_name(solver: SolveConfig) -> str:
-    return f"trace_{solver.backend}_R{solver.bits}_g{_fmt(float(solver.gamma))}_s{solver.sampler.seed}.csv"
+    return f"trace_{solver.backend}_R{solver.bits}_g{solver.gamma}_s{solver.sampler.seed}.csv"
 
 
 def run_sweep(cfg: ExperimentConfig) -> int:
@@ -290,8 +278,8 @@ def run_sweep(cfg: ExperimentConfig) -> int:
         for solver, trace in zip(group, traces):
             name = _combo_name(solver)
             _write_trace(os.path.join(cfg.out_dir, name), trace)
-            key = [solver.backend, solver.bits, solver.blocks, float(solver.gamma), solver.sampler.seed]
-            combined.extend(key + [rec.k, float(rec.residual), rec.relative_error] for rec in trace.records)
+            key = [solver.backend, solver.bits, solver.blocks, solver.gamma, solver.sampler.seed]
+            combined.extend(key + [rec.k, rec.residual, rec.relative_error] for rec in trace.records)
             status.append(f"{name}: {'converged' if trace.converged else 'max_iters'} ({len(trace.records)} iterations)")
     _write_csv(
         os.path.join(cfg.out_dir, "sweep.csv"),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linear import LinearSystem
+from .linear import LinearSystem, whole_number
 
 EDGES = ("bottom", "top", "left", "right")
 
@@ -44,8 +44,8 @@ def boundary_temperature(edge: str, s: float, length: float) -> float:
 class HeatProblem:
     """Square-plate steady heat problem: grid resolution, edge temperatures, point sources.
 
-    ``sources`` lists (i, j, strength) right-hand-side contributions at interior
-    nodes, positive strength meaning a heat source. ``boundary`` maps each edge name to a
+    ``sources`` lists (i, j, strength) right-hand-side contributions at interior nodes, stored as
+    (int, int, float), positive strength meaning a heat source. ``boundary`` maps each edge name to a
     profile function, or is ``"zero"`` or ``"ramp"`` (``boundary_temperature`` at ``length``).
     """
 
@@ -55,21 +55,21 @@ class HeatProblem:
     sources: list[tuple[int, int, float]] = field(default_factory=list)
 
     def __post_init__(self):
-        if not 2 <= self.m < math.inf or int(self.m) != self.m:
-            raise ValueError("m (segments per side) must be an integer >= 2")
-        self.m = int(self.m)
+        self.m = whole_number("m (segments per side)", self.m, least=2)
         if not 0.0 < self.length < math.inf:
             raise ValueError("plate side length must be positive and finite")
+        self.length = float(self.length)
         if isinstance(self.boundary, str):
             if self.boundary not in ("ramp", "zero"):
                 raise ValueError(f"unknown boundary profile {self.boundary!r}, expected 'ramp' or 'zero'")
         elif missing := [e for e in EDGES if e not in self.boundary]:
             raise ValueError(f"boundary profiles missing for edges {missing}")
         for i, j, strength in self.sources:
-            if not (1 <= i <= self.m - 1 and 1 <= j <= self.m - 1):
+            if i not in range(1, self.m) or j not in range(1, self.m):  # whole numbers, so not NaN or inf
                 raise ValueError(f"source at ({i}, {j}) is not an interior node of an m={self.m} grid")
             if not math.isfinite(strength):
                 raise ValueError(f"source at ({i}, {j}) has non-finite strength {strength}")
+        self.sources = [(int(i), int(j), float(strength)) for i, j, strength in self.sources]
 
     @property
     def n(self) -> int:
@@ -145,6 +145,9 @@ def solve_plate(problem: HeatProblem, b) -> np.ndarray:
     = 4 sin^2(i pi/2m), the form without cancellation at small i (LeVeque 2007, section 3.4). The DST-I matrix S
     of size m-1 has S^2 = (m/2) I, so A^-1 b = (2/m)^2 S [(S B S) / (lambda_i + lambda_j)] S, B = b as a grid.
     """
+    b = np.asarray(b, dtype=float)
+    if b.shape != (problem.n,):
+        raise ValueError(f"right-hand side must have length {problem.n}, got {b.shape}")
     m, side = problem.m, problem.m - 1
     lam = 4.0 * np.sin(np.arange(1, m) * np.pi / (2 * m)) ** 2
     modes = _dst2(np.reshape(b, (side, side))) / (lam[:, None] + lam)

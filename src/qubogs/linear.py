@@ -5,10 +5,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def whole_number(name: str, value) -> int:
-    """``value`` as an int; raises ValueError unless it is a whole number >= 1 (so not NaN or inf)."""
-    if not 1 <= value < np.inf or int(value) != value:
-        raise ValueError(f"{name} must be an integer >= 1")
+def whole_number(name: str, value, least: int = 1) -> int:
+    """``value`` as an int; raises ValueError unless it is a whole number >= ``least`` (so not NaN or inf)."""
+    if not least <= value < np.inf or int(value) != value:
+        raise ValueError(f"{name} must be an integer >= {least}")
     return int(value)
 
 
@@ -76,17 +76,19 @@ class LinearSystem:
 
 @dataclass
 class BlockPartition:
-    """Contiguous half-open ranges covering 0..n-1 in order, without overlap."""
+    """Contiguous half-open ranges covering 0..n-1 in order, without overlap; bounds are stored as ints."""
 
     n: int
     blocks: list[tuple[int, int]]
 
     def __post_init__(self):
+        self.n = whole_number("n", self.n)
         expected = 0
         for lo, hi in self.blocks:
-            if lo != expected or hi <= lo:
-                raise ValueError("blocks must be sorted, disjoint, and cover the index range")
-            expected = hi
+            if lo != expected or hi not in range(expected + 1, self.n + 1):  # a whole number, so not NaN or inf
+                raise ValueError("blocks must be sorted, disjoint whole-number ranges that cover the index range")
+            expected = int(hi)
+        self.blocks = [(int(lo), int(hi)) for lo, hi in self.blocks]
         if expected != self.n:
             raise ValueError(f"blocks cover 0..{expected - 1} but the system has {self.n} unknowns")
 

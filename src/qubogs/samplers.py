@@ -54,9 +54,7 @@ class SamplerParams:
             geometric_betas(self.beta_initial, self.beta_final, self.sweeps)  # the ratio rule of every schedule
         if not 0.0 <= self.noise_p < 1.0:
             raise ValueError("noise_p must lie in [0, 1)")
-        if not 0 <= self.seed < np.inf or int(self.seed) != self.seed:
-            raise ValueError("seed must be a nonnegative integer")
-        self.seed = int(self.seed)
+        self.seed = whole_number("seed", self.seed, least=0)
 
 
 @dataclass

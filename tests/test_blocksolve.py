@@ -228,6 +228,14 @@ class TestPartition:
             BlockPartition(4, [(0, 2), (3, 4)])  # gap
         with pytest.raises(ValueError):
             BlockPartition(4, [(0, 2), (2, 3)])  # incomplete
+        # a bound or the size that is not a whole number
+        for n, blocks, message in (
+            (4, [(0, 1.5), (1.5, 4)], "whole-number ranges"),
+            (4, [(0, float("inf"))], "whole-number ranges"),
+            (9.5, [(0, 9)], "n must be an integer >= 1"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                BlockPartition(n, blocks)
 
 
 class TestGsSweep:
@@ -476,6 +484,9 @@ class TestIterateExact:
         config = SolveConfig(scale=2, offset=np.float64(-1.5))
         assert (config.scale, config.offset) == (2.0, -1.5)
         assert type(config.scale) is float and type(config.offset) is float
+        config = SolveConfig(gamma=1, tol=np.float32(1e-3))
+        assert type(config.gamma) is float and type(config.tol) is float
+        assert type(HeatProblem(5, length=2).length) is float
 
     def test_exact_backend_builds_no_encoding(self, demo_2x2, monkeypatch):
         system, _ = demo_2x2

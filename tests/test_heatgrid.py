@@ -224,6 +224,10 @@ def test_sources_add_to_rhs():
     expected[problem.row_of(1, 2)] = 7.5
     expected[problem.row_of(2, 2)] = -2.5
     assert_allclose(delta, expected)
+    # whole-valued float coordinates are stored as ints and assemble the same b
+    floats = HeatProblem(4, sources=[(2.0, 3.0, 1.0)])
+    assert floats.sources == [(2, 3, 1.0)] and all(type(v) is int for v in floats.sources[0][:2])
+    assert np.array_equal(assemble_system(floats).b, assemble_system(HeatProblem(4, sources=[(2, 3, 1.0)])).b)
 
 
 def test_invalid_problems_rejected():
@@ -236,6 +240,8 @@ def test_invalid_problems_rejected():
         HeatProblem(3, sources=[(3, 1, 1.0)])  # boundary node
     with pytest.raises(ValueError):
         HeatProblem(3, sources=[(5, 1, 1.0)])  # out of range
+    with pytest.raises(ValueError):
+        HeatProblem(3, sources=[(1.5, 1, 1.0)])  # not a node
     with pytest.raises(ValueError):
         HeatProblem(3, length=-1.0)
 
@@ -318,6 +324,8 @@ def test_solve_plate_matches_dense_solve(m):
 def test_solve_plate_single_node_and_zero_source():
     assert_allclose(solve_plate(HeatProblem(2), [8.0]), [2.0], rtol=4 * np.finfo(float).eps)
     assert np.array_equal(solve_plate(HeatProblem(7), np.zeros(36)), np.zeros(36))
+    with pytest.raises(ValueError, match="must have length 9"):
+        solve_plate(HeatProblem(4), np.ones(5))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
