@@ -13,8 +13,10 @@ The block solves run on a wavefront schedule (Lamport's hyperplane method):
 solve (k, p) runs at step c*k + o_p, so blocks that do not couple are solved
 together, across iterations and across the runs of a lockstep batch. It uses
 the values a sweep in block order would, because o_q < o_p and o_p - o_q < c
-for every coupled q < p (``iterate_many`` defines o_p and c). A run that stops
-drops the speculative solves it started for later iterations.
+for every coupled q < p (``iterate_many`` defines o_p and c). A step's index
+arrays are worked out once per residue class of the step and kept until its set
+of solves changes. A run that stops drops the speculative solves it started for
+later iterations.
 
 With a shrink factor below one, every variable's representable interval is
 re-centered on its latest estimate after each sweep and its half-width decays
@@ -24,6 +26,7 @@ solution inside the window. Decoded block solutions that saturate an interval
 end are flagged as clipped rather than silently accepted.
 """
 
+import bisect
 import itertools
 from collections import defaultdict
 from collections.abc import Callable
@@ -178,12 +181,18 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     size (once k > 1 with gamma < 1, ``shrink_encoding``'s). Each exact block
     size's stack is inverted once per solve, after the rank test; a block solve
     then errs by O(kappa(A_pp) eps) relative, not LU's backward-stable error,
-    and the next sweep corrects it, as in iterative refinement. The right-hand
-    sides of every run come from one gather and one ``np.bincount`` per step
-    over the off-block entries of that step's residue class only, bit for bit
-    as ``_rhs`` computes each; no solve of a step couples to another of that
-    step. Each run's max o // c + 1 iterations in flight share a ring of that
-    depth, and each size group lands in it with one fancy assignment. Iteration
+    and the next sweep corrects it, as in iterative refinement. Step c*s + r
+    solves iteration s - o_p // c of each block p of residue class r = o_p % c.
+    Sorted by offset, a class's ready blocks (k >= 1) are a prefix, and each
+    run's k <= max_iters a range of it. Each class keeps one plan, rebuilt only
+    when those ranges change (in warm-up, when a run leaves, and in a capped
+    run's last max o // c steps): per block size, the solves' flat rows in the
+    iterates and in the ring, b there, their off-block entries in ``_rhs``'s
+    order and (exact) their inverses as one stack. A steady step is then, per
+    size group, one gather and ``np.bincount`` for the right-hand sides, bit for
+    bit as ``_rhs`` computes each, the solve and two flat assignments; no solve
+    of a step couples to another of that step. Each run's max o // c + 1
+    iterations in flight share a ring of that depth. Iteration
     k is complete at step c*k + max o; its record copies its ring slot and takes
     ``residual``'s and ``relative_error``'s quotients from ||b|| and
     ||exact_solution||, each taken once per call. A run that has then
@@ -205,19 +214,14 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     # only the right-hand sides change from sweep to sweep, so each block is split once
     splits = [(lo, hi, *_split(system, lo, hi)) for lo, hi in part.blocks]
     offsets, period = _wavefront(splits)
-    due = [[p for p, o in enumerate(offsets) if o % period == r] for r in range(period)]  # step t solves blocks due[t % c]
+    lags = np.array(offsets) // period  # step c*s + o_p % c solves iteration s - lags[p] of block p
+    # each residue class's blocks sorted by offset: the ready ones (k >= 1) are a prefix, each run's k <= max_iters a range
+    order = [sorted((p for p, o in enumerate(offsets) if o % period == r), key=offsets.__getitem__) for r in range(period)]
+    lag_order = [lags[ps].tolist() for ps in order]
     depth = max(offsets) // period + 1  # iterations in flight; x^(k) of run i fills ring[i, k % depth]
     dense = [sub.to_dense() for _, _, sub, _ in splits]
     sizes = np.array([hi - lo for lo, hi, _, _ in splits])
     los = np.array([lo for lo, _, _, _ in splits])
-    # every off-block entry, row i's in the order _rhs meets them, and the residue class of its block
-    off_rows, off_cols, off_vals = (np.concatenate(a) for a in zip(*((lo + rows, cols, vals) for lo, _, _, (rows, cols, vals) in splits)))
-    off_class = np.repeat(np.array(offsets) % period, [len(off[0]) for *_, off in splits])
-    # each residue class's off-block (cols, vals, bins), so a step folds only its own blocks' rows; row i of run j is bin j*n + i
-    folds = [
-        (off_cols[mine], off_vals[mine], (off_rows[mine] + n * np.arange(len(configs))[:, None]).ravel())
-        for mine in (off_class == r for r in range(period))
-    ]
     exact_backend = first.backend == "exact"
     if exact_backend:
         for a in dense:
@@ -229,30 +233,49 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
         grams = [a.T @ a for a in dense]  # only b and the window change between a block's encodings
         sample = None if first.backend == "sa" else BACKENDS[first.backend] if isinstance(first.backend, str) else first.backend
 
+    def plan(r: int, ranges) -> list[tuple]:
+        """Per block size, the arrays a step uses for the solves order[r][lo:hi] of each (run, lo, hi) in ``ranges``."""
+        groups = defaultdict(list)
+        for p, i in sorted((p, i) for i, lo, hi in ranges for p in order[r][lo:hi]):
+            groups[int(sizes[p])].append((i, p))
+        steps = []
+        for size, members in groups.items():
+            runs, ps = (np.array(a)[:, None] for a in zip(*members))
+            rows = los[ps] + np.arange(size)
+            ring_rows = np.stack([(runs * depth + (u - lags[ps]) % depth) * n + rows for u in range(depth)])
+            offs = [splits[p][3] for _, p in members]  # in _rhs's order; row j of solve e is bin e*size + j
+            cols = np.concatenate([i * n + c for (i, _), (_, c, _) in zip(members, offs)])
+            vals = np.concatenate([v for _, _, v in offs])
+            bins = np.concatenate([e * size + rw for e, (rw, _, _) in enumerate(offs)])
+            stack = inverses[size][slot[ps[:, 0]]] if exact_backend else None
+            solves = [(i, int(lags[p]), p) for i, p in members]
+            steps.append((solves, runs * n + rows, ring_rows, system.b[rows], cols, vals, bins, stack))
+        return steps
+
     b_norm = float(np.linalg.norm(system.b))
     exact_norm = None if exact is None else float(np.linalg.norm(exact))
     xs = np.tile(x, (len(configs), 1))  # each block's latest value, per run
     ring = np.empty((len(configs), depth, n))
+    xs_flat, ring_flat = xs.reshape(-1), ring.reshape(-1)
     notes = defaultdict(lambda: [None] * len(splits))  # (run, k) -> each block's (best sample, window); QUBO backends only
     records: list[list[IterationRecord]] = [[] for _ in configs]
     converged = [False] * len(configs)
     active = list(range(len(configs)))
+    plans = [(None, [])] * period  # each class's (key, plan), rebuilt only when its key changes
     for t in itertools.count(period):
-        groups: dict[int, list[tuple[int, int, int]]] = {}
-        for p, i in itertools.product(due[t % period], active):
-            k = (t - offsets[p]) // period
-            if 1 <= k <= configs[i].max_iters:
-                groups.setdefault(int(sizes[p]), []).append((i, k, p))
-        # every run's right-hand sides of this step's class at once, each row bit for bit as _rhs folds it
-        cols, vals, bins = folds[t % period]
-        rhs_all = system.b - np.bincount(bins, (vals * xs[:, cols]).ravel(), minlength=xs.size).reshape(xs.shape)
-        for size, group in groups.items():
-            runs, ks, ps = np.array(group).T
-            runs, at = runs[:, None], los[ps, None] + np.arange(size)
-            rhs = rhs_all[runs, at]
+        s, r = divmod(t, period)
+        # the key is each active run's range of order[r]: the blocks with 1 <= s - lag <= its max_iters
+        ready = bisect.bisect_right(lag_order[r], s - 1)
+        key = tuple((i, bisect.bisect_left(lag_order[r], s - configs[i].max_iters, hi=ready), ready) for i in active)
+        if plans[r][0] != key:
+            plans[r] = key, plan(r, key)
+        for solves, at, ring_rows, b_at, cols, vals, bins, stack in plans[r][1]:
+            # the group's right-hand sides at once, each row bit for bit as _rhs folds it
+            rhs = b_at - np.bincount(bins, vals * xs_flat[cols], minlength=b_at.size).reshape(b_at.shape)
             if exact_backend:
-                values = np.matmul(inverses[size][slot[ps]], rhs[:, :, None])[:, :, 0]
+                values = np.matmul(stack, rhs[:, :, None])[:, :, 0]
             else:
+                size, group = b_at.shape[1], [(i, s - lag, p) for i, lag, p in solves]
                 pairs, windows = [], []
                 # each solve's seed: the first word of SeedSequence((seed, k, lo)); k and lo are single words
                 seeds = _seed_states([[*_seed_words(configs[i].sampler.seed), k, splits[p][0]] for i, k, p in group])[:, 0]
@@ -266,7 +289,7 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
                 for (i, k, p), result, window in zip(group, results, windows):
                     notes[i, k][p] = result.best_sample, window
                     values.append(decode(result.best_sample.bits, window))
-            xs[runs, at] = ring[runs, ks[:, None] % depth, at] = values
+            xs_flat[at] = ring_flat[ring_rows[s % depth]] = values
         k, rem = divmod(t - max(offsets), period)
         for i in list(active) if not rem and k >= 1 else []:
             config = configs[i]

@@ -123,7 +123,6 @@ def _parse_list(where: str, raw: str, kind) -> list:
 def load_config(path: str, overrides: argparse.Namespace | None = None) -> ExperimentConfig:
     # "#" starts a comment, not ";", which separates sources; values are literal, with no "%" interpolation
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
-    parser.read_dict(DEFAULTS)
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -131,13 +130,17 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> Exper
         raise ConfigError("config", f"cannot read {path!r}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError("config", f"cannot parse {path!r}: {exc}") from None
-    for section in parser.sections():
+    # the known sections in DEFAULTS' order, then the unknown ones; a [DEFAULT] key joins every section, also one left out
+    ini = {}
+    for section in [*DEFAULTS, *parser.sections()]:
         if section not in DEFAULTS:
             raise ConfigError(section, "unknown section")
-        for key in parser.options(section):
+        present = parser.has_section(section)
+        for key in parser.options(section) if present else parser.defaults():
             if key not in DEFAULTS[section]:
                 raise ConfigError(f"{section}.{key}", "unknown key")
-    problem_ini, solver_ini, sweep_ini = (dict(parser.items(section)) for section in ("problem", "solver", "sweep"))
+        ini[section] = {**DEFAULTS[section], **dict(parser.items(section) if present else ())}
+    problem_ini, solver_ini, sweep_ini = ini["problem"], ini["solver"], ini["sweep"]
 
     # the constructors judge the values, in steps that each add the keys their label names
     m = _parse("problem.m", problem_ini["m"], int)
@@ -176,7 +179,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> Exper
         for be, r, g, sp in itertools.product(backends, lists["bits"], lists["gammas"], samplers)
     ]
 
-    out_dir = getattr(overrides, "out_dir", None) or parser.get("output", "directory").strip() or os.environ.get(OUT_DIR_ENV) or "out"
+    out_dir = getattr(overrides, "out_dir", None) or ini["output"]["directory"].strip() or os.environ.get(OUT_DIR_ENV) or "out"
     return ExperimentConfig(problem=problem, solver=solver, sweep=sweep, out_dir=out_dir)
 
 

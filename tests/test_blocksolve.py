@@ -180,10 +180,15 @@ WAVEFRONT_CASES = {
     # one-sided couplings: each block reads only the one before it, and the first reads the last
     "unsymmetric": lambda: (coupled_system(12, [(i, i - 1) for i in range(1, 12)] + [(1, 10)], 6), 6, None, list(range(6)), 6),
     "block diagonal": lambda: (coupled_system(9, [(0, 1), (1, 2), (4, 3), (5, 4), (7, 8), (8, 6)], 7), 3, None, [0, 0, 0], 1),
+    # blocks 0-1-2 a chain and block 3 free: class 0 holds blocks 0, 2 and 3, whose ready ones at its
+    # first step (0 and 3) are not a prefix in block order
+    "chain and a free block": lambda: (
+        coupled_system(12, [(0, 1), (2, 3), (3, 2), (4, 5), (5, 6), (6, 5), (7, 8), (10, 9), (11, 10)], 5), 4, None, [0, 1, 2, 0], 2
+    ),
 }
 # exhaustive runs only where a block QUBO has at most 12 bits
 WAVEFRONT_RUNS = [(case, backend) for case in WAVEFRONT_CASES for backend in ("exact", "sa")] + [
-    (case, "exhaustive") for case in ("27 blocks of 3", "ring", "unsymmetric", "block diagonal")
+    (case, "exhaustive") for case in ("27 blocks of 3", "ring", "unsymmetric", "block diagonal", "chain and a free block")
 ]
 
 
@@ -606,6 +611,22 @@ class TestWavefront:
         exact = direct_solve(system)
         configs = [SolveConfig(blocks=blocks, tol=tol, max_iters=m, backend="exact") for tol, m in ((1e-8, 40), (1e-3, 40), (1e-8, 3))]
         assert_same_traces(iterate_many(system, configs, exact), sequential_iterate_many(system, configs, exact))
+
+    @pytest.mark.parametrize("tols", [(1e-6,), (1e-2, 1e-6, 1e-300)])
+    def test_one_matvec_per_record(self, monkeypatch, tols):
+        # perfbench's tracer times the residuals by wrapping LinearSystem.matvec by name, so each
+        # record's residual must come from exactly one call of it, for one run and for a lockstep group
+        calls = []
+        matvec = LinearSystem.matvec
+
+        def counting(self, x):
+            calls.append(len(x))
+            return matvec(self, x)
+
+        monkeypatch.setattr(LinearSystem, "matvec", counting)
+        system = sourced_plate()
+        traces = iterate_many(system, [SolveConfig(blocks=27, tol=tol, max_iters=40, backend="exact") for tol in tols])
+        assert calls == [system.n] * sum(len(trace) for trace in traces)
 
     @pytest.mark.parametrize("backend", ["exact", "exhaustive"])
     def test_records_own_their_iterates(self, backend):

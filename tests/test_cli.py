@@ -199,6 +199,37 @@ def test_each_key_rejected_under_its_label(tmp_path, capsys, section, keys, flag
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a [DEFAULT] key joins every section, so it is unknown in the first section that lacks it
+        ("[DEFAULT]\nfoo = 1\n", "problem.foo: unknown key"),
+        ("[DEFAULT]\nm = 5\n", "solver.m: unknown key"),
+        ("[DEFAULT]\nm = 5\n[problem]\nm = 4\n", "solver.m: unknown key"),
+        ("[problem]\nfoo = 1\n[DEFAULT]\nbar = 2\n", "problem.foo: unknown key"),
+        # the four known sections are checked in a fixed order, then the unknown ones in file order
+        ("[bogus]\n[solver]\nfoo = 1\n[problem]\nbar = 2\n", "problem.bar: unknown key"),
+        ("[bogus]\n[output]\n[other]\n", "bogus: unknown section"),
+        ("[Problem]\nm = 4\n", "Problem: unknown section"),
+    ],
+)
+def test_unknown_keys_and_sections_reported_in_a_fixed_order(tmp_path, text, message):
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    with pytest.raises(cli.ConfigError) as info:
+        cli.load_config(str(path))
+    assert str(info.value) == message
+
+
+def test_sections_left_out_take_their_defaults(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+    path = tmp_path / "cfg.ini"
+    path.write_text("[DEFAULT]\n[solver]\nBLOCKS = 3\n")
+    config = cli.load_config(str(path))
+    assert (config.problem.m, config.solver.blocks, config.solver.backend, config.out_dir) == (10, 3, "sa", "out")
+    assert [(c.bits, c.gamma, c.sampler.seed) for c in config.sweep] == [(3, 0.8, 2024)]
+
+
 def test_backend_flag_replaces_an_unknown_file_backend(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.ini", solver={"backend": "annealer"})
     assert cli.main(["solve", str(cfg_path), "--backend", "exact"]) == 0

@@ -20,7 +20,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import importlib.util  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -29,20 +28,9 @@ import time  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
+from ab_commands import load_module  # noqa: E402
 from qubogs import blocksolve, cli  # noqa: E402
 from workloads import WORKLOADS, make_cases  # noqa: E402
-
-
-def load_kernel(src: str):
-    """``solve_sa_many`` of the ``qubogs`` package under ``src``, imported as the package ``other_qubogs``."""
-    init = os.path.join(src, "qubogs", "__init__.py")
-    if not os.path.isfile(init):
-        sys.exit(f"no qubogs package under {src}")
-    spec = importlib.util.spec_from_file_location("other_qubogs", init, submodule_search_locations=[os.path.dirname(init)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules["other_qubogs"] = package
-    spec.loader.exec_module(package)
-    return importlib.import_module("other_qubogs.samplers").solve_sa_many
 
 
 def record_calls(seed: int) -> list:
@@ -95,7 +83,7 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    sides = {"this": blocksolve.solve_sa_many, "other": load_kernel(args.other_src)}
+    sides = {"this": blocksolve.solve_sa_many, "other": load_module(args.other_src, "samplers").solve_sa_many}
     calls = record_calls(args.seed)
     reads = [sum(params.num_reads for _, params in runs) for runs, _ in calls]
     print(f"sa-sweep seed {args.seed}: {len(calls)} calls, {sum(reads)} reads (at most {max(reads)} in one call)")
