@@ -126,12 +126,6 @@ def gs_sweep(system: LinearSystem, part: BlockPartition, x_prev, block_solver: B
     return x
 
 
-def _saturated_vars(bits: tuple[int, ...], nvars: int, bits_per_var: int) -> bool:
-    q = np.asarray(bits).reshape(nvars, bits_per_var)
-    per_var = q.sum(axis=1)
-    return bool(np.any(per_var == 0) or np.any(per_var == bits_per_var))
-
-
 def iterate(system: LinearSystem, config: SolveConfig, exact_solution=None, x0=None) -> IterationTrace:
     """Run block Gauss-Seidel until the normalized residual meets ``config.tol``.
 
@@ -177,8 +171,9 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     q < p, it sees x_q^(k) before it and x_q^(k-1) after it, as a sweep does.
     Each step's solves go to the backend grouped by block size: one stacked
     ``np.matmul`` by the blocks' inverses (exact), one ``solve_sa_many`` call
-    (SA), or one call per solve, each QUBO solve in its config's window at block
-    size (once k > 1 with gamma < 1, ``shrink_encoding``'s). Each exact block
+    (SA), or one call per solve, each QUBO solve in its run's window for that
+    block size, built once (once k > 1 with gamma < 1, ``shrink_encoding``'s,
+    with half-width c*gamma^(k-1)). Each exact block
     size's stack is inverted once per solve, after the rank test; a block solve
     then errs by O(kappa(A_pp) eps) relative, not LU's backward-stable error,
     and the next sweep corrects it, as in iterative refinement. Step c*s + r
@@ -192,7 +187,9 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     size group, one gather and ``np.bincount`` for the right-hand sides, bit for
     bit as ``_rhs`` computes each, the solve and two flat assignments; no solve
     of a step couples to another of that step. Each run's max o // c + 1
-    iterations in flight share a ring of that depth. Iteration
+    iterations in flight share a ring of that depth, and a QUBO solve's best
+    energy and saturation (some variable's bits all set or all clear, after
+    ``decode`` has checked the sample) land in its slot beside x^(k). Iteration
     k is complete at step c*k + max o; its record copies its ring slot and takes
     ``residual``'s and ``relative_error``'s quotients from ||b|| and
     ||exact_solution||, each taken once per call. A run that has then
@@ -231,6 +228,7 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
         slot = np.array([np.count_nonzero(sizes[:p] == size) for p, size in enumerate(sizes)])
     else:
         grams = [a.T @ a for a in dense]  # only b and the window change between a block's encodings
+        bases = [{size: BinaryEncoding.uniform(size, c.bits, c.scale, c.offset) for size in set(sizes.tolist())} for c in configs]
         sample = None if first.backend == "sa" else BACKENDS[first.backend] if isinstance(first.backend, str) else first.backend
 
     def plan(r: int, ranges) -> list[tuple]:
@@ -241,15 +239,14 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
         steps = []
         for size, members in groups.items():
             runs, ps = (np.array(a)[:, None] for a in zip(*members))
-            rows = los[ps] + np.arange(size)
-            ring_rows = np.stack([(runs * depth + (u - lags[ps]) % depth) * n + rows for u in range(depth)])
+            lag, rows = lags[ps], los[ps] + np.arange(size)
+            ring_rows = (runs * depth + (np.arange(depth)[:, None, None] - lag) % depth) * n + rows
             offs = [splits[p][3] for _, p in members]  # in _rhs's order; row j of solve e is bin e*size + j
             cols = np.concatenate([i * n + c for (i, _), (_, c, _) in zip(members, offs)])
             vals = np.concatenate([v for _, _, v in offs])
             bins = np.concatenate([e * size + rw for e, (rw, _, _) in enumerate(offs)])
             stack = inverses[size][slot[ps[:, 0]]] if exact_backend else None
-            solves = [(i, int(lags[p]), p) for i, p in members]
-            steps.append((solves, runs * n + rows, ring_rows, system.b[rows], cols, vals, bins, stack))
+            steps.append(((runs[:, 0], lag[:, 0], ps[:, 0]), runs * n + rows, ring_rows, system.b[rows], cols, vals, bins, stack))
         return steps
 
     b_norm = float(np.linalg.norm(system.b))
@@ -257,7 +254,7 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     xs = np.tile(x, (len(configs), 1))  # each block's latest value, per run
     ring = np.empty((len(configs), depth, n))
     xs_flat, ring_flat = xs.reshape(-1), ring.reshape(-1)
-    notes = defaultdict(lambda: [None] * len(splits))  # (run, k) -> each block's (best sample, window); QUBO backends only
+    energies, saturated = np.empty((len(configs), depth, len(splits))), np.empty((len(configs), depth, len(splits)), dtype=bool)
     records: list[list[IterationRecord]] = [[] for _ in configs]
     converged = [False] * len(configs)
     active = list(range(len(configs)))
@@ -269,40 +266,41 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
         key = tuple((i, bisect.bisect_left(lag_order[r], s - configs[i].max_iters, hi=ready), ready) for i in active)
         if plans[r][0] != key:
             plans[r] = key, plan(r, key)
-        for solves, at, ring_rows, b_at, cols, vals, bins, stack in plans[r][1]:
+        for (runs, lag, ps), at, ring_rows, b_at, cols, vals, bins, stack in plans[r][1]:
             # the group's right-hand sides at once, each row bit for bit as _rhs folds it
             rhs = b_at - np.bincount(bins, vals * xs_flat[cols], minlength=b_at.size).reshape(b_at.shape)
             if exact_backend:
                 values = np.matmul(stack, rhs[:, :, None])[:, :, 0]
             else:
-                size, group = b_at.shape[1], [(i, s - lag, p) for i, lag, p in solves]
+                size, ks = b_at.shape[1], s - lag
+                group = list(zip(runs.tolist(), ks.tolist(), ps.tolist()))
                 pairs, windows = [], []
                 # each solve's seed: the first word of SeedSequence((seed, k, lo)); k and lo are single words
                 seeds = _seed_states([[*_seed_words(configs[i].sampler.seed), k, splits[p][0]] for i, k, p in group])[:, 0]
                 for (i, k, p), b, seed in zip(group, rhs, seeds.tolist()):
-                    config, (lo, hi) = configs[i], splits[p][:2]
-                    window = BinaryEncoding(size, config.bits, np.full(size, config.scale), np.full(size, config.offset))
+                    config, (lo, hi), window = configs[i], splits[p][:2], bases[i][size]
                     windows.append(window if k == 1 or config.gamma == 1.0 else shrink_encoding(window, xs[i][lo:hi], config.gamma, k))
                     pairs.append((encode_dense(dense[p], grams[p], b, windows[-1]), replace(config.sampler, seed=seed)))
-                results = solve_sa_many(pairs) if sample is None else [sample(*pair) for pair in pairs]
-                values = []
-                for (i, k, p), result, window in zip(group, results, windows):
-                    notes[i, k][p] = result.best_sample, window
-                    values.append(decode(result.best_sample.bits, window))
+                best = [result.best_sample for result in (solve_sa_many(pairs) if sample is None else [sample(*pair) for pair in pairs])]
+                values = [decode(q.bits, window) for q, window in zip(best, windows)]  # decode checks each sample's length
+                ones = np.reshape([q.bits for q in best], (len(best), size, first.bits)).sum(axis=2)  # set bits per variable
+                energies[runs, ks % depth, ps] = [q.energy for q in best]
+                saturated[runs, ks % depth, ps] = np.any((ones == 0) | (ones == first.bits), axis=1)
             xs_flat[at] = ring_flat[ring_rows[s % depth]] = values
         k, rem = divmod(t - max(offsets), period)
         for i in list(active) if not rem and k >= 1 else []:
             config = configs[i]
-            x_k = ring[i, k % depth].copy()
+            cell = i, k % depth
+            x_k = ring[cell].copy()
             # residual and relative_error's divisions, with ||b|| and ||exact|| taken once per solve
             r = float(np.linalg.norm(system.matvec(x_k) - system.b))
             r = r if b_norm == 0.0 else r / b_norm
             err = None if exact is None else float(np.linalg.norm(x_k - exact)) / exact_norm
-            landed = notes.pop((i, k), [])
-            energies = None if exact_backend else [best.energy for best, _ in landed]
-            clipped = [p for p, (best, w) in enumerate(landed) if _saturated_vars(best.bits, w.n, w.bits)]
-            halfwidth = None if exact_backend else max(float(w.scale.max()) for _, w in landed)
-            records[i].append(IterationRecord(k, x_k, r, err, energies, clipped, halfwidth))
+            if exact_backend:
+                records[i].append(IterationRecord(k, x_k, r, err))
+            else:  # each window of iteration k has shrink_encoding's half-width c * gamma^(k-1)
+                landed = energies[cell].tolist(), np.flatnonzero(saturated[cell]).tolist(), config.scale * config.gamma ** (k - 1)
+                records[i].append(IterationRecord(k, x_k, r, err, *landed))
             converged[i] = r <= config.tol
             if converged[i] or k == config.max_iters:
                 active.remove(i)

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,18 @@ import qubogs
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_commands.py"
 BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+# appended to a copy's cli.py: its main first sleeps 0.05 s, longer than an exact-plate command
+SLEEPING_MAIN = """
+
+import time as _time
+
+_main = main
+
+
+def main(argv=None):
+    _time.sleep(0.05)
+    return _main(argv)
+"""
 
 
 @pytest.fixture
@@ -41,15 +54,30 @@ def test_sign_test_p_values(tool):
     assert tool.sign_test_p(27, 30) < 0.01 < tool.sign_test_p(22, 30)
 
 
+def run_tool(other_src, pairs: int, cwd) -> dict:
+    """The last stdout line of the tool run on exact-plate at seed 51 against ``other_src``, parsed."""
+    env = dict(os.environ, **dict.fromkeys(BLAS_THREADS, "1"))
+    args = [sys.executable, str(TOOL), str(other_src), "--workload", "exact-plate", "--seed", "51", "--pairs", str(pairs)]
+    run = subprocess.run(args, capture_output=True, text=True, env=env, cwd=str(cwd))
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.strip().splitlines()[-1])
+
+
 def test_same_checkout_gives_identical_outputs(tmp_path):
     # an A/A smoke run: this checkout's src/ against itself, loaded a second time as another package
-    package_root = str(Path(qubogs.__file__).resolve().parent.parent)
-    env = dict(os.environ, **dict.fromkeys(BLAS_THREADS, "1"))
-    args = [sys.executable, str(TOOL), package_root, "--workload", "exact-plate", "--seed", "51", "--pairs", "2"]
-    run = subprocess.run(args, capture_output=True, text=True, env=env, cwd=str(tmp_path))
-    assert run.returncode == 0, run.stderr
-    result = json.loads(run.stdout.strip().splitlines()[-1])
+    result = run_tool(Path(qubogs.__file__).resolve().parent.parent, 2, tmp_path)
     assert result["outputs_identical"] and result["differing_outputs"] == [] and result["exit_codes"] == [0]
     assert len(result["pairs"]) == 2 and all(a > 0.0 and b > 0.0 for a, b in result["pairs"])
     assert 0 <= result["wins"] <= 2 and 0.0 < result["sign_test_p"] <= 1.0
     assert result["ratio_iqr"][0] <= result["ratio_median"] <= result["ratio_iqr"][1]
+
+
+def test_slowed_copy_is_found(tmp_path):
+    # the other side is a copy of src/ whose cli.main sleeps before each command; this side must win
+    other = tmp_path / "src"
+    shutil.copytree(Path(qubogs.__file__).resolve().parent, other / "qubogs", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(other / "qubogs" / "cli.py", "a") as fh:
+        fh.write(SLEEPING_MAIN)
+    result = run_tool(other, 12, tmp_path)
+    assert result["outputs_identical"] and result["exit_codes"] == [0]
+    assert result["wins"] >= 11 and result["sign_test_p"] < 0.01 and result["ratio_median"] < 1.0

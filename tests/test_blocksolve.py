@@ -12,7 +12,6 @@ from qubogs.blocksolve import (
     BlockPartition,
     SolveConfig,
     _rhs,
-    _saturated_vars,
     _split,
     _wavefront,
     check_convergence_condition,
@@ -28,7 +27,7 @@ from qubogs.encoding import BinaryEncoding, decode, encode
 from qubogs.heatgrid import HeatProblem, assemble_system
 from qubogs.linear import LinearSystem, whole_number
 from qubogs.reference import _singular_values, condition_number, direct_solve, relative_error
-from qubogs.samplers import BACKENDS, SamplerParams, solve_exhaustive, solve_sa_many
+from qubogs.samplers import BACKENDS, Sample, SampleSet, SamplerParams, solve_exhaustive, solve_sa_many
 from qubogs.trace import IterationRecord, IterationTrace
 
 
@@ -126,7 +125,8 @@ def sequential_iterate_many(system: LinearSystem, configs: list[SolveConfig], ex
             for i, result in zip(active, results):
                 best = result.best_sample
                 energies[i].append(best.energy)
-                if _saturated_vars(best.bits, block_encs[i].n, block_encs[i].bits):
+                set_bits = np.reshape(best.bits, (hi - lo, first.bits)).sum(axis=1)
+                if np.any((set_bits == 0) | (set_bits == first.bits)):  # some variable at an end of its interval
                     clipped[i].append(p)
                 xs[i][lo:hi] = decode(best.bits, block_encs[i])
         for i in active:
@@ -497,16 +497,22 @@ class TestIterateExact:
         system, _ = demo_2x2
         built = []
 
-        def counting(*args):
-            built.append(args)
-            return BinaryEncoding(*args)
+        class Counting(BinaryEncoding):
+            def __post_init__(self):
+                built.append((self.n, self.bits))
+                super().__post_init__()
 
-        monkeypatch.setattr(blocksolve, "BinaryEncoding", counting)
+        # every window iterate_many builds, directly, through BinaryEncoding.uniform or through shrink_encoding
+        monkeypatch.setattr(blocksolve, "BinaryEncoding", Counting)
         iterate(system, SolveConfig(blocks=2, tol=1e-300, max_iters=3, backend="exact"))
         assert built == []
-        # the count does see a QUBO backend's windows: one per block per iteration
+        # the count does see a QUBO backend's windows: one per run and block size (both blocks have one
+        # unknown here), plus one per moved window, so for each block from k = 2 on when gamma < 1
         iterate(system, SolveConfig(blocks=2, tol=1e-300, max_iters=3, backend="exhaustive"))
-        assert len(built) == 6
+        assert built == [(1, 3)]
+        built.clear()
+        iterate(system, SolveConfig(blocks=2, tol=1e-300, max_iters=3, gamma=0.5, backend="exhaustive"))
+        assert built == [(1, 3)] * 5
 
 
 class TestIterateInputs:
@@ -821,6 +827,29 @@ class TestIterateQubo:
         trace = iterate(system, cfg)
         assert trace.records[0].clipped_blocks == [0]
         assert trace.final_x[0] == pytest.approx(2.0 * (1 - 2.0**-3))
+
+    def test_lockstep_runs_report_their_own_clipped_blocks(self):
+        # two uncoupled 3-unknown blocks; x_0 = 5.2 lies outside the narrow window [0, 2) and inside
+        # the wide one [0, 8), and every other unknown lies well inside both
+        block = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
+        a = np.kron(np.eye(2), block)
+        x_star = np.array([5.2, 1.1, 0.9, 0.9, 1.1, 1.2])
+        system = LinearSystem.from_dense(a, a @ x_star)
+        narrow = SolveConfig(blocks=2, bits=3, scale=1.0, gamma=1.0, tol=1e-300, max_iters=3, backend="exhaustive")
+        traces = iterate_many(system, [narrow, replace(narrow, scale=4.0)])
+        assert [len(trace) for trace in traces] == [3, 3]
+        assert [rec.clipped_blocks for rec in traces[0].records] == [[0]] * 3
+        assert [rec.clipped_blocks for rec in traces[1].records] == [[]] * 3
+        assert [rec.halfwidth_max for rec in traces[0].records + traces[1].records] == [1.0] * 3 + [4.0] * 3
+        assert traces[1].final_x.tolist() == [5.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+
+        # a backend whose sample is one bit short fails with decode's message, not a reshape error
+        def short(problem, params):
+            best = solve_exhaustive(problem).best_sample
+            return SampleSet([Sample(best.bits[:-1], best.energy)])
+
+        with pytest.raises(ValueError, match="bitstring must have length"):
+            iterate_many(system, [replace(narrow, backend=short)])
 
     def test_custom_backend_callable(self, demo_2x2):
         system, exact = demo_2x2
