@@ -180,22 +180,24 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     solves iteration s - o_p // c of each block p of residue class r = o_p % c.
     Sorted by offset, a class's ready blocks (k >= 1) are a prefix, and each
     run's k <= max_iters a range of it. Each class keeps one plan, rebuilt only
-    when those ranges change (in warm-up, when a run leaves, and in a capped
-    run's last max o // c steps): per block size, the solves' flat rows in the
-    iterates and in the ring, b there, their off-block entries in ``_rhs``'s
-    order and (exact) their inverses as one stack. A steady step is then, per
-    size group, one gather and ``np.bincount`` for the right-hand sides, bit for
-    bit as ``_rhs`` computes each, the solve and two flat assignments; no solve
-    of a step couples to another of that step. Each run's max o // c + 1
-    iterations in flight share a ring of that depth, and a QUBO solve's best
-    energy and saturation (some variable's bits all set or all clear, after
-    ``decode`` has checked the sample) land in its slot beside x^(k). Iteration
-    k is complete at step c*k + max o; its record copies its ring slot and takes
-    ``residual``'s and ``relative_error``'s quotients from ||b|| and
-    ||exact_solution||, each taken once per call. A run that has then
-    converged or reached ``max_iters`` leaves, and the speculative solves it
-    started for up to max o // c later iterations are dropped. A bad ``x0`` or
-    ``exact_solution`` raises before any solve.
+    when those ranges (its key) change; the key is worked out only in warm-up
+    (s <= max o_p // c + 1), when a run leaves and once s reaches an active
+    max_iters + min o_p // c. A plan holds, per block size, the solves' flat
+    rows in the iterates and in the ring, b there, their off-block entries in
+    ``_rhs``'s order and (exact) their inverses as one stack. A steady step is
+    then, per size group, one gather and ``np.bincount`` for the right-hand
+    sides, bit for bit as ``_rhs`` computes each, the solve and two flat
+    assignments; no solve of a step couples to another of that step. Each run's
+    max o // c + 1 iterations in flight share a ring of that depth, and a QUBO
+    solve's best energy and saturation (some variable's bits all set or all
+    clear, after ``decode`` has checked the sample) land in its slot beside
+    x^(k). Iteration k is complete at step c*k + max o; its record copies its
+    ring slot and takes ``residual``'s and ``relative_error``'s quotients from
+    ||b|| and ||exact_solution||, each taken once per call, over norms taken as
+    ``np.linalg.norm`` does, sqrt(v . v), in one reused buffer v. A run that has
+    then converged or reached ``max_iters`` leaves, and the speculative solves
+    it started for up to max o // c later iterations are dropped. A bad ``x0``
+    or ``exact_solution`` raises before any solve.
     """
     if len({(c.blocks, c.bits, c.backend, c.sampler.sweeps) for c in configs}) != 1:
         raise ValueError("lockstep runs need at least one config, all sharing blocks, bits, backend and sweeps")
@@ -215,7 +217,8 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     # each residue class's blocks sorted by offset: the ready ones (k >= 1) are a prefix, each run's k <= max_iters a range
     order = [sorted((p for p, o in enumerate(offsets) if o % period == r), key=offsets.__getitem__) for r in range(period)]
     lag_order = [lags[ps].tolist() for ps in order]
-    depth = max(offsets) // period + 1  # iterations in flight; x^(k) of run i fills ring[i, k % depth]
+    last = max(offsets)  # iteration k is complete at step c*k + last
+    depth = last // period + 1  # iterations in flight; x^(k) of run i fills ring[i, k % depth]
     dense = [sub.to_dense() for _, _, sub, _ in splits]
     sizes = np.array([hi - lo for lo, hi, _, _ in splits])
     los = np.array([lo for lo, _, _, _ in splits])
@@ -258,14 +261,17 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     records: list[list[IterationRecord]] = [[] for _ in configs]
     converged = [False] * len(configs)
     active = list(range(len(configs)))
-    plans = [(None, [])] * period  # each class's (key, plan), rebuilt only when its key changes
+    v = np.empty(n)  # each record's A x - b, then its x - exact
+    plans, cap = [(None, [])] * period, min(c.max_iters for c in configs)  # each class's (key, plan); least active max_iters
     for t in itertools.count(period):
         s, r = divmod(t, period)
         # the key is each active run's range of order[r]: the blocks with 1 <= s - lag <= its max_iters
-        ready = bisect.bisect_right(lag_order[r], s - 1)
-        key = tuple((i, bisect.bisect_left(lag_order[r], s - configs[i].max_iters, hi=ready), ready) for i in active)
-        if plans[r][0] != key:
-            plans[r] = key, plan(r, key)
+        lag_r = lag_order[r]
+        if plans[r][0] is None or not lag_r[-1] + 1 < s < cap + lag_r[0]:  # in between, the key cannot change
+            ready = bisect.bisect_right(lag_r, s - 1)
+            key = tuple((i, bisect.bisect_left(lag_r, s - configs[i].max_iters, hi=ready), ready) for i in active)
+            if plans[r][0] != key:
+                plans[r] = key, plan(r, key)
         for (runs, lag, ps), at, ring_rows, b_at, cols, vals, bins, stack in plans[r][1]:
             # the group's right-hand sides at once, each row bit for bit as _rhs folds it
             rhs = b_at - np.bincount(bins, vals * xs_flat[cols], minlength=b_at.size).reshape(b_at.shape)
@@ -287,15 +293,14 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
                 energies[runs, ks % depth, ps] = [q.energy for q in best]
                 saturated[runs, ks % depth, ps] = np.any((ones == 0) | (ones == first.bits), axis=1)
             xs_flat[at] = ring_flat[ring_rows[s % depth]] = values
-        k, rem = divmod(t - max(offsets), period)
+        k, rem = divmod(t - last, period)
         for i in list(active) if not rem and k >= 1 else []:
-            config = configs[i]
-            cell = i, k % depth
+            config, cell = configs[i], (i, k % depth)
             x_k = ring[cell].copy()
-            # residual and relative_error's divisions, with ||b|| and ||exact|| taken once per solve
-            r = float(np.linalg.norm(system.matvec(x_k) - system.b))
+            # residual and relative_error's quotients, each norm as np.linalg.norm's sqrt(v . v)
+            r = float(np.sqrt(np.subtract(system.matvec(x_k), system.b, out=v).dot(v)))
             r = r if b_norm == 0.0 else r / b_norm
-            err = None if exact is None else float(np.linalg.norm(x_k - exact)) / exact_norm
+            err = None if exact is None else float(np.sqrt(np.subtract(x_k, exact, out=v).dot(v))) / exact_norm
             if exact_backend:
                 records[i].append(IterationRecord(k, x_k, r, err))
             else:  # each window of iteration k has shrink_encoding's half-width c * gamma^(k-1)
@@ -304,6 +309,7 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
             converged[i] = r <= config.tol
             if converged[i] or k == config.max_iters:
                 active.remove(i)
+                plans, cap = [(None, [])] * period, min((configs[j].max_iters for j in active), default=cap)
         if not active:
             return [IterationTrace(rec, conv, residual_is_absolute=b_norm == 0.0) for rec, conv in zip(records, converged)]
 

@@ -191,10 +191,13 @@ def _write_text(path: str, text: str, where: str = "output") -> None:
         raise ConfigError(where, f"cannot write {path!r}: {exc}") from None
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _csv_lines(rows: list[list]) -> list[str]:
     """None is written as nan, every other value by ``str``: for a Python float, the shortest text that parses back to it."""
-    lines = [",".join(header)] + [",".join("nan" if v is None else str(v) for v in row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+    return [",".join(["nan" if v is None else str(v) for v in row]) for row in rows]
+
+
+def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
+    _write_text(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
 def _write_trace(path: str, trace: IterationTrace) -> None:
@@ -202,12 +205,12 @@ def _write_trace(path: str, trace: IterationTrace) -> None:
     for rec in trace.records:
         energy_sum = None if rec.block_energies is None else float(sum(rec.block_energies))
         rows.append([rec.k, rec.residual, rec.relative_error, len(rec.clipped_blocks), energy_sum, rec.halfwidth_max])
-    _write_csv(path, ["k", "residual", "relative_error", "clipped_blocks", "best_energy_sum", "halfwidth_max"], rows)
+    _write_csv(path, ["k", "residual", "relative_error", "clipped_blocks", "best_energy_sum", "halfwidth_max"], _csv_lines(rows))
 
 
-def _field_rows(field: np.ndarray, problem: HeatProblem) -> list[list]:
-    nodes = [problem.node(k) for k in range(problem.m + 1)]
-    return [[i, j, nodes[i], nodes[j], t] for i, temps in enumerate(field.tolist()) for j, t in enumerate(temps)]
+def _field_lines(field: np.ndarray, problem: HeatProblem) -> list[str]:
+    nodes = [str(problem.node(k)) for k in range(problem.m + 1)]  # the rows' _csv_lines: f-strings format as str does
+    return [f"{i},{j},{nodes[i]},{nodes[j]},{t}" for i, temps in enumerate(field.tolist()) for j, t in enumerate(temps)]
 
 
 def _ground_truth(problem: HeatProblem, system: LinearSystem) -> np.ndarray | None:
@@ -234,7 +237,7 @@ def run_solve(cfg: ExperimentConfig) -> int:
 
     _write_trace(os.path.join(cfg.out_dir, "trace.csv"), trace)
     field = grid_to_field(trace.final_x, cfg.problem)
-    _write_csv(os.path.join(cfg.out_dir, "field.csv"), ["i", "j", "x", "y", "T"], _field_rows(field, cfg.problem))
+    _write_csv(os.path.join(cfg.out_dir, "field.csv"), ["i", "j", "x", "y", "T"], _field_lines(field, cfg.problem))
 
     final = trace.records[-1]
     clipped_total = sum(len(r.clipped_blocks) for r in trace.records)
@@ -287,7 +290,7 @@ def run_sweep(cfg: ExperimentConfig) -> int:
     _write_csv(
         os.path.join(cfg.out_dir, "sweep.csv"),
         ["backend", "R", "D", "gamma", "seed", "k", "residual", "relative_error"],
-        combined,
+        _csv_lines(combined),
     )
     _write_text(os.path.join(cfg.out_dir, "sweep_summary.txt"), "\n".join(status) + "\n")
     return 1 if failed else 0

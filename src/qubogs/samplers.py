@@ -314,6 +314,7 @@ def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleS
 
     # acceptance draws come in sweep blocks into one buffer to bound memory;
     # within each read the draw order is fixed, so blocking does not change the stream
+    multiply, exp, less, add = np.multiply, np.exp, np.less, np.add  # local names: no module lookup per bit
     with np.errstate(over="ignore"):
         for block_start in range(0, sweeps, sweep_block):
             block = min(sweep_block, sweeps - block_start)
@@ -324,12 +325,12 @@ def solve_sa_many(runs: list[tuple[QuboProblem, SamplerParams]]) -> list[SampleS
                 for acc, (signed_beta, field, flip, sign, w_span, field_span, update_span) in zip(accepts[t], rows):
                     # accept when exp(-beta*dE) beats the draw; dE <= 0 always passes.
                     # A positional output buffer costs less per call than out=.
-                    np.multiply(signed_beta, field, arg)
-                    np.exp(arg, arg)
-                    np.less(acc, arg, flip)
-                    np.multiply(sign, flip, d)
-                    np.multiply(w_span, d, update_span)
-                    np.add(field_span, update_span, field_span)
+                    multiply(signed_beta, field, arg)
+                    exp(arg, arg)
+                    less(acc, arg, flip)
+                    multiply(sign, flip, d)
+                    multiply(w_span, d, update_span)
+                    add(field_span, update_span, field_span)
                 np.negative(s, out=s, where=flips)
     q = np.zeros((reads, size + 1), dtype=bool)  # (read, bit) and a zero pad bit, so a 0-bit run still packs to a byte
     q[:, :size] = (s < 0.0).T

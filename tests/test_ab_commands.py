@@ -54,6 +54,19 @@ def test_sign_test_p_values(tool):
     assert tool.sign_test_p(27, 30) < 0.01 < tool.sign_test_p(22, 30)
 
 
+def test_min_of_k_ratio(tool):
+    # each pair counts each side's fastest run: a slow outlier on either side does not move its ratio
+    runs = [[[0.9, 0.5, 0.7], [1.0, 3.0, 2.0]], [[4.0, 2.0, 2.5], [1.0, 1.5, 1.25]], [[0.75, 0.75, 0.75], [1.0, 1.25, 9.0]]]
+    result = tool.summarize(runs)
+    assert result["runs"] == runs
+    assert result["pairs"] == [[0.5, 1.0], [2.0, 1.0], [0.75, 1.0]]
+    assert result["ratio_median"] == 0.75 and result["ratio_iqr"] == [0.625, 1.375]
+    assert result["this_median_s"] == 0.75 and result["other_median_s"] == 1.0
+    assert result["wins"] == 2 and result["sign_test_p"] == tool.sign_test_p(2, 3) == 1.0
+    # with one run per side a pair's seconds are that run's
+    assert tool.summarize([[[0.2], [0.1]]])["pairs"] == [[0.2, 0.1]]
+
+
 def run_tool(other_src, pairs: int, cwd) -> dict:
     """The last stdout line of the tool run on exact-plate at seed 51 against ``other_src``, parsed."""
     env = dict(os.environ, **dict.fromkeys(BLAS_THREADS, "1"))
@@ -68,6 +81,9 @@ def test_same_checkout_gives_identical_outputs(tmp_path):
     result = run_tool(Path(qubogs.__file__).resolve().parent.parent, 2, tmp_path)
     assert result["outputs_identical"] and result["differing_outputs"] == [] and result["exit_codes"] == [0]
     assert len(result["pairs"]) == 2 and all(a > 0.0 and b > 0.0 for a, b in result["pairs"])
+    # the default three runs per side, each pair's seconds their minima
+    assert result["repeats"] == 3 and [[min(a), min(b)] for a, b in result["runs"]] == result["pairs"]
+    assert all(len(a) == len(b) == 3 for a, b in result["runs"])
     assert 0 <= result["wins"] <= 2 and 0.0 < result["sign_test_p"] <= 1.0
     assert result["ratio_iqr"][0] <= result["ratio_median"] <= result["ratio_iqr"][1]
 

@@ -635,6 +635,24 @@ class TestWavefront:
         assert calls == [system.n] * sum(len(trace) for trace in traces)
 
     @pytest.mark.parametrize("backend", ["exact", "exhaustive"])
+    @pytest.mark.parametrize("case", ["zero rhs", "with exact", "without exact"])
+    def test_record_norms_match_residual_and_relative_error(self, backend, case):
+        # each record's residual is residual()'s (absolute when b = 0) and its error relative_error()'s, bit for bit
+        system = sourced_plate()
+        exact = direct_solve(system) if case == "with exact" else None
+        if case == "zero rhs":
+            system = replace(system, b=np.zeros(system.n))
+        x0 = np.random.default_rng(3).uniform(-5.0, 5.0, system.n)
+        configs = [SolveConfig(blocks=27, bits=2, offset=0.3, tol=tol, max_iters=m, backend=backend) for tol, m in ((1e-2, 30), (1e-12, 9))]
+        traces = iterate_many(system, configs, exact_solution=exact, x0=x0)
+        assert all(trace.residual_is_absolute == (case == "zero rhs") for trace in traces)
+        records = [rec for trace in traces for rec in trace.records]
+        assert len(records) > 9
+        for rec in records:
+            assert rec.residual == residual(system, rec.x)
+            assert rec.relative_error == (None if exact is None else relative_error(rec.x, exact))
+
+    @pytest.mark.parametrize("backend", ["exact", "exhaustive"])
     def test_records_own_their_iterates(self, backend):
         # iterates in flight share one ring, so every record must hold a copy of its slot
         system = sourced_plate()

@@ -70,6 +70,25 @@ def test_trace_csv_round_trips_exactly(tmp_path):
         assert float(row[2]) == rec.relative_error
 
 
+def reference_csv_line(row) -> str:
+    """A CSV line as str writes each value, None as nan."""
+    return ",".join("nan" if v is None else str(v) for v in row)
+
+
+def test_csv_line_builders_match_str(tmp_path):
+    # the line builders give the text that str of each value, joined by commas, gives
+    values = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 1e16, 7, -3, None, 2.5]
+    rows = [values, values[::-1], [1, None, 0.1 + 0.2], []]
+    assert cli._csv_lines(rows) == [reference_csv_line(row) for row in rows]
+    problem = HeatProblem(2, 0.3)
+    nodes = [problem.node(k) for k in range(3)]
+    for field in (np.array(values[:7] + [1 / 3, 2.5]).reshape(3, 3), np.arange(-4, 5).reshape(3, 3)):
+        expected = [reference_csv_line([i, j, nodes[i], nodes[j], t]) for i, temps in enumerate(field.tolist()) for j, t in enumerate(temps)]
+        assert cli._field_lines(field, problem) == expected
+    cli._write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], cli._csv_lines(rows[:3]))
+    assert (tmp_path / "t.csv").read_text() == "\n".join(["a,b,c", *map(reference_csv_line, rows[:3])]) + "\n"
+
+
 def test_solve_nonconvergence_exit_code(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.ini", solver={"max_iters": 2, "tol": "1e-13"})
     assert cli.main(["solve", str(cfg_path)]) == 2

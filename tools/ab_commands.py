@@ -1,6 +1,6 @@
 """Time one benchmark workload's commands in two checkouts, paired in one process.
 
-    python3 tools/ab_commands.py OTHER_SRC --workload W [--seed S] [--pairs N]
+    python3 tools/ab_commands.py OTHER_SRC --workload W [--seed S] [--pairs N] [--repeats K]
 
 Writes the INI files that `perfbench/workloads.py` generates for workload W and
 seed S (51 by default) and runs them through `qubogs.cli.main` of this
@@ -9,11 +9,13 @@ another `qubogs` package ("other"), in one process with one BLAS thread. Each
 side first runs the workload once, and every output file and exit code of the
 two is compared byte for byte; those that differ, or that one side alone
 wrote, are listed. Then N pairs are timed (30 by default). A pair runs every
-command of the workload once on each side, and the side that goes first
-alternates from pair to pair. The last line of standard output is one JSON
-object: each pair's seconds, the median of the this/other ratios and their
-interquartile range, the number of pairs this side won and the two-sided
-sign-test p-value of that count.
+command of the workload K times on each side (3 by default), the sides
+interleaved, and the side that goes first alternates from pair to pair. A
+pair's seconds are each side's fastest of its K runs: on a shared host the
+least disturbed run is the fastest. The last line of standard output is one
+JSON object: every run's seconds, each pair's minima, the median of the
+this/other ratios of the minima and their interquartile range, the number of
+pairs this side won and the two-sided sign-test p-value of that count.
 """
 
 import os
@@ -74,6 +76,23 @@ def run(cli, commands: list[list[str]], out: str) -> tuple[float, list[int]]:
     return seconds, codes
 
 
+def summarize(runs: list[list[list[float]]]) -> dict:
+    """The statistics of the pairs, from each pair's [this seconds, other seconds] of its K runs per side."""
+    pairs = [[min(this), min(other)] for this, other in runs]
+    ratios = [a / b for a, b in pairs]
+    wins = sum(a < b for a, b in pairs)
+    return {
+        "runs": runs,
+        "pairs": pairs,
+        "this_median_s": statistics.median(a for a, _ in pairs),
+        "other_median_s": statistics.median(b for _, b in pairs),
+        "ratio_median": statistics.median(ratios),
+        "ratio_iqr": np.percentile(ratios, [25, 75]).tolist(),
+        "wins": wins,
+        "sign_test_p": sign_test_p(wins, len(pairs)),
+    }
+
+
 def differing_outputs(this: str, other: str) -> list[str]:
     """Relative paths of the files under ``this`` and ``other`` whose bytes differ or that only one of them holds."""
     files = {}
@@ -92,9 +111,10 @@ def main(argv=None) -> None:
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=51, help="workload seed (default 51)")
     parser.add_argument("--pairs", type=int, default=30, help="timed pairs (default 30)")
+    parser.add_argument("--repeats", type=int, default=3, help="runs of each side per pair, the fastest counting (default 3)")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < 1 or args.repeats < 1:
+        parser.error("--pairs and --repeats must be at least 1")
     sides = {"this": qubogs.cli, "other": load_module(args.other_src, "cli")}
     workload = WORKLOADS[args.workload]
     with tempfile.TemporaryDirectory() as tmp:
@@ -107,28 +127,22 @@ def main(argv=None) -> None:
         codes = {name: run(cli, commands, os.path.join(tmp, name))[1] for name, cli in sides.items()}
         differ = differing_outputs(os.path.join(tmp, "this"), os.path.join(tmp, "other"))
         differ += ["exit codes"] if codes["this"] != codes["other"] else []
-        pairs = []
+        runs = []
         for pair in range(args.pairs):
-            seconds = {}
-            for name in list(sides)[:: 1 if pair % 2 == 0 else -1]:
-                seconds[name] = run(sides[name], commands, os.path.join(tmp, name))[0]
-            pairs.append([seconds["this"], seconds["other"]])
-    ratios = [a / b for a, b in pairs]
-    wins = sum(a < b for a, b in pairs)
+            seconds = {name: [] for name in sides}
+            for _ in range(args.repeats):
+                for name in list(sides)[:: 1 if pair % 2 == 0 else -1]:
+                    seconds[name].append(run(sides[name], commands, os.path.join(tmp, name))[0])
+            runs.append([seconds["this"], seconds["other"]])
     result = {
         "workload": workload.name,
         "seed": args.seed,
         "other": args.other_src,
+        "repeats": args.repeats,
         "outputs_identical": not differ,
         "differing_outputs": differ,
         "exit_codes": codes["this"],
-        "pairs": pairs,
-        "this_median_s": statistics.median(a for a, _ in pairs),
-        "other_median_s": statistics.median(b for _, b in pairs),
-        "ratio_median": statistics.median(ratios),
-        "ratio_iqr": np.percentile(ratios, [25, 75]).tolist(),
-        "wins": wins,
-        "sign_test_p": sign_test_p(wins, len(pairs)),
+        **summarize(runs),
     }
     for name in differ:
         print(f"differs: {name}", file=sys.stderr)
