@@ -180,24 +180,24 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     solves iteration s - o_p // c of each block p of residue class r = o_p % c.
     Sorted by offset, a class's ready blocks (k >= 1) are a prefix, and each
     run's k <= max_iters a range of it. Each class keeps one plan, rebuilt only
-    when those ranges (its key) change; the key is worked out only in warm-up
-    (s <= max o_p // c + 1), when a run leaves and once s reaches an active
-    max_iters + min o_p // c. A plan holds, per block size, the solves' flat
-    rows in the iterates and in the ring, b there, their off-block entries in
-    ``_rhs``'s order and (exact) their inverses as one stack. A steady step is
-    then, per size group, one gather and ``np.bincount`` for the right-hand
-    sides, bit for bit as ``_rhs`` computes each, the solve and two flat
-    assignments; no solve of a step couples to another of that step. Each run's
-    max o // c + 1 iterations in flight share a ring of that depth, and a QUBO
-    solve's best energy and saturation (some variable's bits all set or all
-    clear, after ``decode`` has checked the sample) land in its slot beside
-    x^(k). Iteration k is complete at step c*k + max o; its record copies its
-    ring slot and takes ``residual``'s and ``relative_error``'s quotients from
-    ||b|| and ||exact_solution||, each taken once per call, over norms taken as
-    ``np.linalg.norm`` does, sqrt(v . v), in one reused buffer v. A run that has
-    then converged or reached ``max_iters`` leaves, and the speculative solves
-    it started for up to max o // c later iterations are dropped. A bad ``x0``
-    or ``exact_solution`` raises before any solve.
+    when those ranges (its key) change; with lag o_p // c, the key is worked out
+    only while its ready prefix grows (s <= its largest lag + 1), after a run
+    leaves and once s exceeds the least active max_iters plus its smallest lag.
+    A plan holds, per block size, the solves' flat rows in the iterates and in
+    the ring, b there, their off-block entries in ``_rhs``'s order and (exact)
+    their inverses as one stack. A steady step is then, per size group, one
+    gather and ``np.bincount`` for the right-hand sides, bit for bit as ``_rhs``
+    computes each, the solve and two flat assignments; no solve of a step
+    couples to another of that step. Each run's max o // c + 1 iterations in
+    flight share a ring of that depth, and a QUBO solve's best energy and
+    saturation (some variable's bits all set or all clear, after ``decode`` has
+    checked the sample) land in its slot beside x^(k). Iteration k is complete
+    at step c*k + max o; its record copies its ring slot and takes
+    ``residual``'s and ``relative_error``'s quotients (||b||, ||exact_solution||
+    once per call; each norm ``np.linalg.norm``'s sqrt(v . v), in one reused
+    buffer v). A run that has then converged or reached ``max_iters`` leaves,
+    and the speculative solves it started for up to max o // c later iterations
+    are dropped. A bad ``x0`` or ``exact_solution`` raises before any solve.
     """
     if len({(c.blocks, c.bits, c.backend, c.sampler.sweeps) for c in configs}) != 1:
         raise ValueError("lockstep runs need at least one config, all sharing blocks, bits, backend and sweeps")
@@ -265,9 +265,9 @@ def iterate_many(system: LinearSystem, configs: list[SolveConfig], exact_solutio
     plans, cap = [(None, [])] * period, min(c.max_iters for c in configs)  # each class's (key, plan); least active max_iters
     for t in itertools.count(period):
         s, r = divmod(t, period)
-        # the key is each active run's range of order[r]: the blocks with 1 <= s - lag <= its max_iters
+        # the key, each active run's range of order[r] (1 <= s - lag <= its max_iters), is fixed for lag_r[-1] + 1 < s <= cap + lag_r[0]
         lag_r = lag_order[r]
-        if plans[r][0] is None or not lag_r[-1] + 1 < s < cap + lag_r[0]:  # in between, the key cannot change
+        if plans[r][0] is None or not lag_r[-1] + 1 < s <= cap + lag_r[0]:
             ready = bisect.bisect_right(lag_r, s - 1)
             key = tuple((i, bisect.bisect_left(lag_r, s - configs[i].max_iters, hi=ready), ready) for i in active)
             if plans[r][0] != key:

@@ -81,7 +81,7 @@ def test_same_checkout_gives_identical_outputs(tmp_path):
     result = run_tool(Path(qubogs.__file__).resolve().parent.parent, 2, tmp_path)
     assert result["outputs_identical"] and result["differing_outputs"] == [] and result["exit_codes"] == [0]
     assert len(result["pairs"]) == 2 and all(a > 0.0 and b > 0.0 for a, b in result["pairs"])
-    # the default three runs per side, each pair's seconds their minima
+    # three runs per side, each pair's seconds their minima
     assert result["repeats"] == 3 and [[min(a), min(b)] for a, b in result["runs"]] == result["pairs"]
     assert all(len(a) == len(b) == 3 for a, b in result["runs"])
     assert 0 <= result["wins"] <= 2 and 0.0 < result["sign_test_p"] <= 1.0

@@ -1,6 +1,6 @@
 """Time one benchmark workload's commands in two checkouts, paired in one process.
 
-    python3 tools/ab_commands.py OTHER_SRC --workload W [--seed S] [--pairs N] [--repeats K]
+    python3 tools/ab_commands.py OTHER_SRC --workload W [--seed S] [--pairs N]
 
 Writes the INI files that `perfbench/workloads.py` generates for workload W and
 seed S (51 by default) and runs them through `qubogs.cli.main` of this
@@ -9,9 +9,9 @@ another `qubogs` package ("other"), in one process with one BLAS thread. Each
 side first runs the workload once, and every output file and exit code of the
 two is compared byte for byte; those that differ, or that one side alone
 wrote, are listed. Then N pairs are timed (30 by default). A pair runs every
-command of the workload K times on each side (3 by default), the sides
+command of the workload REPEATS (3) times on each side, the sides
 interleaved, and the side that goes first alternates from pair to pair. A
-pair's seconds are each side's fastest of its K runs: on a shared host the
+pair's seconds are each side's fastest of its 3 runs: on a shared host the
 least disturbed run is the fastest. The last line of standard output is one
 JSON object: every run's seconds, each pair's minima, the median of the
 this/other ratios of the minima and their interquartile range, the number of
@@ -43,6 +43,8 @@ import numpy as np  # noqa: E402
 
 import qubogs.cli  # noqa: E402
 from workloads import WORKLOADS, make_cases  # noqa: E402
+
+REPEATS = 3  # runs of each side per pair; the fastest counts
 
 
 def load_module(src: str, module: str):
@@ -111,10 +113,9 @@ def main(argv=None) -> None:
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=51, help="workload seed (default 51)")
     parser.add_argument("--pairs", type=int, default=30, help="timed pairs (default 30)")
-    parser.add_argument("--repeats", type=int, default=3, help="runs of each side per pair, the fastest counting (default 3)")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.repeats < 1:
-        parser.error("--pairs and --repeats must be at least 1")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     sides = {"this": qubogs.cli, "other": load_module(args.other_src, "cli")}
     workload = WORKLOADS[args.workload]
     with tempfile.TemporaryDirectory() as tmp:
@@ -130,7 +131,7 @@ def main(argv=None) -> None:
         runs = []
         for pair in range(args.pairs):
             seconds = {name: [] for name in sides}
-            for _ in range(args.repeats):
+            for _ in range(REPEATS):
                 for name in list(sides)[:: 1 if pair % 2 == 0 else -1]:
                     seconds[name].append(run(sides[name], commands, os.path.join(tmp, name))[0])
             runs.append([seconds["this"], seconds["other"]])
@@ -138,7 +139,7 @@ def main(argv=None) -> None:
         "workload": workload.name,
         "seed": args.seed,
         "other": args.other_src,
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "outputs_identical": not differ,
         "differing_outputs": differ,
         "exit_codes": codes["this"],
